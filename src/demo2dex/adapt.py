@@ -18,7 +18,7 @@ from .demo import ContactSet, DemoSequence
 from .geometry import Pose6, geodesic_angle
 from .hand import HandModel
 from .retarget import ControlPlan
-from .simworld import ReplayStep, SimDivergenceError, SimWorld
+from .simworld import SimDivergenceError, SimWorld, WorldState
 
 DELTA_MAX = 0.2  # residual clamp, normalized units
 WRIST_RHO_DEFAULT = (0.05, 0.05, 0.05, 0.3, 0.3, 0.3)
@@ -154,7 +154,7 @@ def find_goal_frame(demo: DemoSequence, deviation: float = GOAL_DEVIATION) -> tu
 
 
 def select_pregrasp(
-    records: list[ReplayStep],
+    records: list[WorldState],
     mapped: list[MappedContact],
     limit: int,
     guide_finger: int = 0,
@@ -176,7 +176,7 @@ def select_pregrasp(
     warnings: list[str] = []
     for t in range(limit):
         rec = records[t]
-        if rec.contact:
+        if rec.hand_contact:
             continue
         c_world = rec.object_pose.apply(point_obj)
         d = float(np.linalg.norm(rec.fingertips[guide_finger] - c_world))
@@ -201,7 +201,7 @@ def select_pregrasp(
 def build_episode(
     demo: DemoSequence,
     plan: ControlPlan,
-    records: list[ReplayStep],
+    records: list[WorldState],
     mapped: list[MappedContact],
     guide_finger: int = 0,
     mode: str = "nearest",
@@ -385,12 +385,12 @@ class GraspEnv:
             raise AdaptError("step() before reset()")
         base = self._targets[self.t]
         executed = self.rescaler.residual(base, action)
+        if not np.all(np.isfinite(action)):
+            return self._diverge(executed)
         try:
             state = self.world.step(executed)
         except SimDivergenceError:
-            self.diverged = True
-            obs = np.zeros(self.dim_obs) if hasattr(self, "dim_obs") else None
-            return obs, DIVERGENCE_PENALTY, True, {"diverged": True, "executed": executed}
+            return self._diverge(executed)
         fk = self.model.fk(state.q)
         distal = np.array([d for _, d, _, _ in self.world.collision_query(fk)])
         reward, comps, self.d_closest = compute_reward(
@@ -416,6 +416,13 @@ class GraspEnv:
         if done:
             info["success"] = self.success()
         return obs, reward, done, info
+
+    def _diverge(self, executed: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
+        """End the episode with the divergence penalty: the simulation blew up,
+        or the policy emitted a non-finite action the simulator cannot take."""
+        self.diverged = True
+        obs = np.zeros(self.dim_obs) if hasattr(self, "dim_obs") else None
+        return obs, DIVERGENCE_PENALTY, True, {"diverged": True, "executed": executed}
 
     def success(self) -> bool:
         if self.world is None or self.diverged:

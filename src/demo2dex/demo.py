@@ -21,7 +21,6 @@ import numpy as np
 
 from .collision import ConvexPiece, GeometryError, project_to_surface
 from .geometry import Pose6, Rotation3
-from .jsonio import canonical_dumps
 from .retarget import HAND_FRAME_DIM
 
 CONTACT_THRESHOLD = 0.05  # fingertips closer than this to the surface count as contacts
@@ -131,34 +130,6 @@ def demo_from_dict(data: dict, lower_fraction: float = COM_LOWER_FRACTION) -> De
 
 def load_demo(path, lower_fraction: float = COM_LOWER_FRACTION) -> DemoSequence:
     return demo_from_dict(json.loads(Path(path).read_text()), lower_fraction)
-
-
-def demo_to_dict(demo: DemoSequence, raw_com=None) -> dict:
-    """Serializable form. COM lowering is a load-time step, so saving uses the
-    processed COM unless the caller passes the original back in."""
-    frames = []
-    for t in range(demo.length):
-        p = demo.object_poses[t]
-        frames.append(
-            {
-                "hand": demo.hand[t].tolist(),
-                "object": {"pos": p.pos.tolist(), "quat": p.rot.as_quat().tolist()},
-            }
-        )
-    com = demo.geometry.com if raw_com is None else np.asarray(raw_com)
-    return {
-        "fps": demo.fps,
-        "frames": frames,
-        "object_geometry": {
-            "pieces": [p.vertices.tolist() for p in demo.geometry.pieces],
-            "com": com.tolist(),
-            "mass": demo.geometry.mass,
-        },
-    }
-
-
-def save_demo(demo: DemoSequence, path, raw_com=None) -> None:
-    Path(path).write_text(canonical_dumps(demo_to_dict(demo, raw_com)) + "\n")
 
 
 # -- contact extraction -----------------------------------------------------------

@@ -178,7 +178,6 @@ class HandModel:
                 chain.append(ji)
                 cur = self.joints[ji].parent
             self._chain[name] = tuple(reversed(chain))
-        self.parent_joint_of_link = parent_joint
         # distal links: the ones fingertip sites attach to, in fingertip order
         self.distal_links = tuple(s.link for s in self.fingertip_sites)
         self.fingertip_order = {s.name: i for i, s in enumerate(self.fingertip_sites)}

@@ -3,13 +3,18 @@
 Stages: ingest -> retarget -> primary replay -> episode configuration ->
 residual training (optional) -> deterministic grasp rollout -> wrist-attached
 manipulation tracking -> metrics. Every stage is deterministic for a given
-(config, seed), all artifacts are canonical JSON, and a finished run is keyed
-by a content hash so reruns are free unless something actually changed.
+(config, seed), and all artifacts are canonical JSON.
+
+A finished run is keyed by a content hash of the config, the bytes of the hand
+and recording files, the seed, `no_rl` and `VERSION`, and a rerun with the same
+key is served from the run directory. The key does not cover the code: after a
+code change, rerun with `force=True` (`transfer run --force`).
 """
 from __future__ import annotations
 
 import concurrent.futures
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,14 +43,13 @@ from .metrics import (
 )
 from .ppo import TrainConfig, train_residual_policy
 from .retarget import (
-    ActuatorModel,
     ControlPlan,
     RetargetWeights,
     fit_smooth_trajectory,
     retarget_sequence,
     to_control_sequence,
 )
-from .simworld import SimConfig, SimWorld, default_gains, replay
+from .simworld import SimConfig, SimWorld, replay
 from .synthetic import asset_path
 from .wrist import WristPlanError, plan_wrist, track_manipulation
 
@@ -57,40 +61,28 @@ class PipelineError(RuntimeError):
     pass
 
 
-def resolve_hand(spec) -> tuple[HandModel, Path]:
+def _locate(kind: str, spec) -> Path:
+    """`spec` itself if it names a file, else the bundled asset `kind/<spec>.json`."""
     p = Path(spec)
     if not p.exists():
-        p = asset_path("hands", f"{spec}.json")
+        p = asset_path(kind, f"{spec}.json")
     if not p.exists():
-        raise PipelineError(f"hand '{spec}' is neither a file nor a bundled model")
+        raise PipelineError(f"'{spec}' is neither a file nor a bundled {kind[:-1]}")
+    return p
+
+
+def resolve_hand(spec) -> tuple[HandModel, Path]:
+    p = _locate("hands", spec)
     return load_hand(p), p
 
 
 def resolve_demo(spec) -> tuple[DemoSequence, Path]:
-    p = Path(spec)
-    if not p.exists():
-        p = asset_path("demos", f"{spec}.json")
-    if not p.exists():
-        raise PipelineError(f"recording '{spec}' is neither a file nor a bundled demo")
+    p = _locate("demos", spec)
     return load_demo(p), p
 
 
 def resolve_config(spec) -> dict:
-    p = Path(spec)
-    if not p.exists():
-        p = asset_path("configs", f"{spec}.json")
-    if not p.exists():
-        raise PipelineError(f"config '{spec}' is neither a file nor a bundled config")
-    return load_json(p)
-
-
-def sim_config_from(d: dict, model: HandModel) -> SimConfig:
-    cfg = SimConfig(**{k: v for k, v in d.items()})
-    if cfg.kp is None or cfg.kd is None:
-        kp, kd = default_gains(model)
-        cfg.kp = kp if cfg.kp is None else np.asarray(cfg.kp, dtype=np.float64)
-        cfg.kd = kd if cfg.kd is None else np.asarray(cfg.kd, dtype=np.float64)
-    return cfg
+    return load_json(_locate("configs", spec))
 
 
 @dataclass
@@ -173,8 +165,8 @@ def run_transfer(
 ) -> RunResult:
     cfg = dict(config)
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
-    model, hand_path = resolve_hand(cfg["hand"])
-    demo, demo_path = resolve_demo(cfg["demo"])
+    hand_path = _locate("hands", cfg["hand"])
+    demo_path = _locate("demos", cfg["demo"])
     hand_sha = sha256_file(hand_path)
     demo_sha = sha256_file(demo_path)
     key = sha256_of(
@@ -191,21 +183,24 @@ def run_transfer(
     run_dir = Path(out_dir) / f"{name}-seed{seed}{'-norl' if no_rl else ''}"
     manifest_path = run_dir / "manifest.json"
     metrics_path = run_dir / "metrics.json"
+    # manifest.json is written last, so a matching one marks a finished run; the
+    # key stored in metrics.json must match too, or the metrics are another run's
     if not force and manifest_path.exists() and metrics_path.exists():
-        manifest = load_json(manifest_path)
-        if manifest.get("key") == key:
-            stored = load_json(metrics_path)
-            report = MetricReport.from_dict(stored["metrics"])
+        stored = load_json(metrics_path)
+        if load_json(manifest_path).get("key") == key == stored.get("key"):
             log.info("%s: cached (key %s)", run_dir.name, key[:12])
             return RunResult(
                 run_dir=run_dir,
                 key=key,
-                metrics=report,
+                metrics=MetricReport.from_dict(stored["metrics"]),
                 grasp_success=bool(stored["grasp_success"]),
                 cached=True,
                 warnings=list(stored.get("warnings", [])),
             )
+    model, _ = resolve_hand(hand_path)
+    demo, _ = resolve_demo(demo_path)
     run_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path.unlink(missing_ok=True)  # unfinished until the new manifest lands
     warnings: list[str] = []
 
     # -- retarget ------------------------------------------------------------
@@ -220,10 +215,7 @@ def run_transfer(
     warnings += seq.warnings
     spline = fit_smooth_trajectory(seq.q_path, demo.fps)
     frequency = float(cfg.get("control_frequency", demo.fps))
-    kp, kd = default_gains(model)
-    sim_over = dict(cfg.get("sim", {}))
-    plant = ActuatorModel(kp=np.asarray(sim_over.get("kp", kp)), kd=np.asarray(sim_over.get("kd", kd)))
-    a_primary = to_control_sequence(spline, model, plant, frequency)
+    a_primary = to_control_sequence(spline, model, frequency)
     plan = ControlPlan(
         q_path=seq.q_path, spline=spline, a_primary=a_primary, frequency=frequency, fps=demo.fps
     )
@@ -238,12 +230,11 @@ def run_transfer(
     t0 = time.perf_counter()
     contacts = extract_contacts(demo)
     mapped = map_contacts(contacts, model)
-    sim_cfg = sim_config_from(sim_over, model)
+    sim_cfg = SimConfig(**cfg.get("sim", {}))
     q0 = plan.q_path[0]
     obj0 = demo.object_poses[0]
     world = SimWorld(model, demo.geometry, sim_cfg, q0, obj0)
     records = replay(world, plan.a_primary)
-    plan.pt = records
 
     # -- episode configuration -------------------------------------------------
     p_cfg = cfg.get("pregrasp", {})
@@ -311,7 +302,7 @@ def run_transfer(
     contact_flags: list[bool] = [False]
     for t in range(episode.pregrasp_step):
         full_poses.append(records[t].object_pose)
-        contact_flags.append(records[t].contact)
+        contact_flags.append(records[t].hand_contact)
     prefix_len = len(full_poses)
     for s in states:
         full_poses.append(s.object_pose)
@@ -337,7 +328,7 @@ def run_transfer(
             dropped = track.dropped
             for r in track.records:
                 full_poses.append(r.object_pose)
-                contact_flags.append(r.contact)
+                contact_flags.append(r.hand_contact)
             manip_len = len(track.records)
             if track.diverged:
                 warnings.append("manipulation tracking diverged; trajectory truncated")
@@ -360,18 +351,6 @@ def run_transfer(
     )
 
     # -- artifacts ---------------------------------------------------------------
-    dump_json(
-        {
-            "key": key,
-            "version": VERSION,
-            "seed": seed,
-            "no_rl": no_rl,
-            "config": cfg,
-            "hand": {"source": str(hand_path), "sha256": hand_sha, "name": model.name},
-            "demo": {"source": str(demo_path), "sha256": demo_sha, "frames": demo.length},
-        },
-        manifest_path,
-    )
     dump_json(plan.to_dict(), run_dir / "plan.json")
     dump_json(
         {
@@ -418,6 +397,21 @@ def run_transfer(
         },
         metrics_path,
     )
+    # the manifest goes last and whole: it marks the run directory as finished
+    tmp = run_dir / "manifest.json.tmp"
+    dump_json(
+        {
+            "key": key,
+            "version": VERSION,
+            "seed": seed,
+            "no_rl": no_rl,
+            "config": cfg,
+            "hand": {"source": str(hand_path), "sha256": hand_sha, "name": model.name},
+            "demo": {"source": str(demo_path), "sha256": demo_sha, "frames": demo.length},
+        },
+        tmp,
+    )
+    os.replace(tmp, manifest_path)
     log.info(
         "%s: grasp=%s follow=%s tsr=%.3f ep=%.3f er=%.1f",
         run_dir.name, grasp_ok, report.sr_follow, report.tsr_score, report.ep, report.er_deg,

@@ -8,7 +8,8 @@ comes from one generator in a fixed order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,14 +207,11 @@ class GaussianPolicy:
 @dataclass
 class TrainResult:
     policy: GaussianPolicy
-    value: MLP
     obs_norm: RunningNorm
     log: list[dict]
     env_steps: int
     updates: int
     stopped_early: bool
-    best_eval_success: bool
-    final_eval_success: bool
 
     def policy_dict(self) -> dict:
         return {"policy": self.policy.to_dict(), "obs_norm": self.obs_norm.to_dict()}
@@ -286,8 +284,7 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
     updates = 0
     consecutive = 0
     stopped_early = False
-    best: tuple[float, dict] | None = None  # (score, snapshot)
-    last_eval_success = False
+    best = None  # (score, success, policy, obs_norm) of the best evaluation
 
     while env_steps < cfg.total_steps:
         # -- rollout --------------------------------------------------------
@@ -377,25 +374,9 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
             total, _, success, _ = run_episode(env, policy, obs_norm, rng=None)
             row["eval_reward"] = total
             row["eval_success"] = success
-            last_eval_success = success
             score = (1e9 if success else 0.0) + total
             if best is None or score > best[0]:
-                best = (
-                    score,
-                    {
-                        "policy": GaussianPolicy.from_dict(
-                            {"net": {"sizes": policy.net.sizes,
-                                     "Ws": [w.copy() for w in policy.net.Ws],
-                                     "bs": [b.copy() for b in policy.net.bs]},
-                             "log_std": policy.log_std.copy()}
-                        ),
-                        "obs_norm": RunningNorm.from_dict(
-                            {"mean": obs_norm.mean.copy(), "var": obs_norm.var.copy(),
-                             "count": obs_norm.count}
-                        ),
-                        "success": success,
-                    },
-                )
+                best = (score, success, copy.deepcopy(policy), copy.deepcopy(obs_norm))
             consecutive = consecutive + 1 if success else 0
             if consecutive >= cfg.early_stop:
                 log.append(row)
@@ -403,20 +384,13 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
                 break
         log.append(row)
 
-    if best is not None and best[1]["success"]:
-        policy = best[1]["policy"]
-        obs_norm = best[1]["obs_norm"]
-        best_success = True
-    else:
-        best_success = False
+    if best is not None and best[1]:
+        _, _, policy, obs_norm = best
     return TrainResult(
         policy=policy,
-        value=value,
         obs_norm=obs_norm,
         log=log,
         env_steps=env_steps,
         updates=updates,
         stopped_early=stopped_early,
-        best_eval_success=best_success,
-        final_eval_success=last_eval_success,
     )

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .geometry import unit_vector_angle
-from .hand import FKResult, HandModel
+from .hand import HandModel
 from .spline import JerkMinSpline
 
 HAND_FRAME_DIM = 18  # five fingertips (15) plus palm normal (3)
@@ -202,30 +201,6 @@ def retarget_sequence(
 # -- control conversion -----------------------------------------------------------
 
 
-@dataclass
-class ActuatorModel:
-    """Per-joint plant used to turn desired trajectories into PD position targets.
-
-    The ideal massless plant (all zeros) needs no feedforward, so targets equal
-    the sampled trajectory. With joint inertia/damping or gravity-loaded links,
-    the inverse dynamics torque is folded into the target: a = q + tau_ff / kp.
-    """
-
-    kp: np.ndarray
-    kd: np.ndarray
-    inertia: float = 0.0
-    damping: float = 0.0
-    gravity: bool = False
-    gravity_vec: tuple[float, float, float] = (0.0, 0.0, -9.81)
-
-    def feedforward(self, model: HandModel, q, qd, qdd) -> np.ndarray:
-        tau = self.inertia * qdd + self.damping * qd
-        if self.gravity:
-            # the actuator cancels what gravity exerts, hence the sign
-            tau = tau - model.gravity_torques(model.fk(q), self.gravity_vec)
-        return tau
-
-
 def fit_smooth_trajectory(q_path: np.ndarray, fps: float) -> JerkMinSpline:
     q_path = np.asarray(q_path, dtype=np.float64)
     if q_path.ndim != 2 or q_path.shape[0] < 4:
@@ -236,30 +211,18 @@ def fit_smooth_trajectory(q_path: np.ndarray, fps: float) -> JerkMinSpline:
     return JerkMinSpline.fit(times, q_path)
 
 
-def to_control_sequence(
-    spline: JerkMinSpline,
-    model: HandModel,
-    plant: ActuatorModel,
-    frequency: float,
-) -> np.ndarray:
-    """Sample the trajectory at `frequency` Hz and convert to PD position targets."""
+def to_control_sequence(spline: JerkMinSpline, model: HandModel, frequency: float) -> np.ndarray:
+    """Sample the trajectory at `frequency` Hz as PD position targets, clipped to the joint limits.
+
+    The targets are the sampled positions themselves: the PD servo in simworld
+    tracks them without an inverse-dynamics feedforward.
+    """
     if frequency <= 0:
         raise RetargetError("control frequency must be positive")
-    kp = np.asarray(plant.kp, dtype=np.float64)
-    if np.any(kp <= 0):
-        raise RetargetError("actuator kp must be positive for target conversion")
     t0, t1 = spline.times[0], spline.times[-1]
     n = int(round((t1 - t0) * frequency)) + 1
-    ts = t0 + np.arange(n) / frequency
-    ts = np.minimum(ts, t1)
-    q = spline.value(ts)
-    qd = spline.velocity(ts)
-    qdd = spline.acceleration(ts)
-    a = np.empty_like(q)
-    for k in range(n):
-        tau = plant.feedforward(model, q[k], qd[k], qdd[k])
-        a[k] = q[k] + tau / kp
-    return np.clip(a, model.limits_lo, model.limits_hi)
+    ts = np.minimum(t0 + np.arange(n) / frequency, t1)
+    return np.clip(spline.value(ts), model.limits_lo, model.limits_hi)
 
 
 @dataclass
@@ -271,7 +234,6 @@ class ControlPlan:
     a_primary: np.ndarray  # (S, D) PD position targets at the control rate
     frequency: float
     fps: float
-    pt: list | None = None  # replayed primary trajectory, filled by the replay stage
 
     MAX_STEP = 0.5  # sup-norm bound on adjacent retargeted frames, rad or m
 

@@ -15,11 +15,11 @@ Everything is double precision, sequential, and bitwise deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import ConvexPiece, segment_piece_signed
+from .collision import segment_piece_signed
 from .demo import ObjectGeometry
 from .geometry import Pose6, Rotation3
 from .hand import HandModel
@@ -55,6 +55,8 @@ class SimConfig:
             raise ValueError("contact stiffnesses must be positive")
         if self.friction_mu < 0:
             raise ValueError("friction coefficient must be nonnegative")
+        if np.any(self.kp <= 0):
+            raise ValueError("kp must be positive on every joint")
 
 
 def default_gains(model: HandModel) -> tuple[np.ndarray, np.ndarray]:
@@ -89,19 +91,6 @@ class WorldState:
     contacts: list[ContactRecord]
     fingertips: np.ndarray  # (K, 3) world fingertip site positions
     hand_contact: bool  # any hand-object contact this step
-
-    def wrist_pose(self, model: HandModel) -> Pose6:
-        return model.wrist_pose(model.fk(self.q))
-
-
-@dataclass
-class ReplayStep:
-    q: np.ndarray
-    qdot: np.ndarray
-    object_pose: Pose6
-    contact: bool
-    fingertips: np.ndarray
-    wrist_pose: Pose6 | None
 
 
 class _Contact:
@@ -168,14 +157,10 @@ class SimWorld:
         self.model = model
         self.geometry = geometry
         cfg = config or SimConfig()
+        kp, kd = default_gains(model)
+        cfg.kp = np.asarray(kp if cfg.kp is None else cfg.kp, dtype=np.float64)
+        cfg.kd = np.asarray(kd if cfg.kd is None else cfg.kd, dtype=np.float64)
         cfg.validate()
-        if cfg.kp is None or cfg.kd is None:
-            kp, kd = default_gains(model)
-            cfg.kp = kp if cfg.kp is None else np.asarray(cfg.kp, dtype=np.float64)
-            cfg.kd = kd if cfg.kd is None else np.asarray(cfg.kd, dtype=np.float64)
-        else:
-            cfg.kp = np.asarray(cfg.kp, dtype=np.float64)
-            cfg.kd = np.asarray(cfg.kd, dtype=np.float64)
         self.config = cfg
         self.gravity = np.asarray(cfg.gravity, dtype=np.float64)
         self.inertia_body = _body_inertia(geometry)
@@ -447,25 +432,9 @@ class SimWorld:
         )
 
 
-def replay(world: SimWorld, controls: np.ndarray) -> list[ReplayStep]:
+def replay(world: SimWorld, controls: np.ndarray) -> list[WorldState]:
     """Drive the world open loop through a control sequence, recording each step.
 
     Raises SimDivergenceError (with the step index) if the object blows up.
     """
-    controls = np.asarray(controls, dtype=np.float64)
-    records = []
-    for k in range(controls.shape[0]):
-        state = world.step(controls[k])
-        records.append(
-            ReplayStep(
-                q=state.q,
-                qdot=state.qdot,
-                object_pose=state.object_pose,
-                contact=state.hand_contact,
-                fingertips=state.fingertips,
-                wrist_pose=world.model.wrist_pose(world.model.fk(state.q))
-                if world.model.floating_base
-                else None,
-            )
-        )
-    return records
+    return [world.step(a) for a in np.asarray(controls, dtype=np.float64)]

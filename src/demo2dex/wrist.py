@@ -13,6 +13,7 @@ so the squeeze that is holding the object is preserved verbatim.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from .demo import DemoSequence
 from .geometry import Pose6
 from .hand import HandModel
-from .simworld import ReplayStep, SimConfig, SimDivergenceError, SimWorld
+from .simworld import SimDivergenceError, SimWorld, WorldState
 
 DROP_STEPS = 30  # control steps without any hand contact that count as a drop
 WRIST_GAIN_SCALE = 2.0
@@ -42,7 +43,7 @@ class ManipulationPlan:
 
 @dataclass
 class TrackResult:
-    records: list[ReplayStep]
+    records: list[WorldState]
     dropped: bool
     drop_step: int | None
     diverged: bool
@@ -117,27 +118,6 @@ def plan_wrist(
     )
 
 
-def _scaled_config(cfg: SimConfig) -> SimConfig:
-    out = SimConfig(
-        dt=cfg.dt,
-        substeps=cfg.substeps,
-        gravity=cfg.gravity,
-        contact_stiffness=cfg.contact_stiffness,
-        contact_damping=cfg.contact_damping,
-        friction_mu=cfg.friction_mu,
-        friction_stiffness=cfg.friction_stiffness,
-        friction_damping=cfg.friction_damping,
-        force_cap=cfg.force_cap,
-        energy_limit=cfg.energy_limit,
-        detect_margin=cfg.detect_margin,
-        kp=np.asarray(cfg.kp, dtype=np.float64).copy(),
-        kd=np.asarray(cfg.kd, dtype=np.float64).copy(),
-    )
-    out.kp[:6] *= WRIST_GAIN_SCALE
-    out.kd[:6] *= WRIST_GAIN_SCALE
-    return out
-
-
 def track_manipulation(
     world: SimWorld, plan: ManipulationPlan, drop_steps: int = DROP_STEPS
 ) -> TrackResult:
@@ -148,13 +128,15 @@ def track_manipulation(
     control steps; tracking still runs to the end so the executed trajectory
     stays comparable against the recording.
     """
-    world.config = _scaled_config(world.config)
-    records: list[ReplayStep] = []
+    cfg = dataclasses.replace(world.config, kp=world.config.kp.copy(), kd=world.config.kd.copy())
+    cfg.kp[:6] *= WRIST_GAIN_SCALE
+    cfg.kd[:6] *= WRIST_GAIN_SCALE
+    world.config = cfg
+    records: list[WorldState] = []
     free_streak = 0
     dropped = False
     drop_step: int | None = None
     diverged = False
-    model = world.model
     for k in range(plan.controls.shape[0]):
         try:
             state = world.step(plan.controls[k])
@@ -164,16 +146,7 @@ def track_manipulation(
             if drop_step is None:
                 drop_step = plan.start_step + k
             break
-        records.append(
-            ReplayStep(
-                q=state.q,
-                qdot=state.qdot,
-                object_pose=state.object_pose,
-                contact=state.hand_contact,
-                fingertips=state.fingertips,
-                wrist_pose=model.wrist_pose(model.fk(state.q)),
-            )
-        )
+        records.append(state)
         if state.hand_contact:
             free_streak = 0
         else:

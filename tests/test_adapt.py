@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from demo2dex.adapt import (
+    DIVERGENCE_PENALTY,
     GRACE_STEPS,
     ActionRescaler,
     AdaptError,
+    EpisodeSpec,
+    GraspEnv,
     MappedContact,
     RewardConstants,
     compute_reward,
@@ -15,6 +18,8 @@ from demo2dex.adapt import (
 )
 from demo2dex.demo import ContactSet
 from demo2dex.geometry import Pose6, Rotation3
+from demo2dex.retarget import ControlPlan, fit_smooth_trajectory
+from demo2dex.simworld import SimConfig, SimWorld
 
 RNG = np.random.default_rng(31)
 CONSTS = RewardConstants()
@@ -232,7 +237,7 @@ class FakeRecord:
     """Replay-record stand-in carrying only what pre-grasp selection reads."""
 
     def __init__(self, dist, contact):
-        self.contact = contact
+        self.hand_contact = contact
         self.object_pose = Pose6.identity()
         self.fingertips = np.array([[dist, 0.0, 0.0]])
 
@@ -242,6 +247,32 @@ GUIDE_MAP = [MappedContact(finger=0, point_obj=np.zeros(3))]
 
 def fake_records(tip_dists, contacts):
     return [FakeRecord(d, c) for d, c in zip(tip_dists, contacts)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_action_ends_episode_as_divergence(toy_hand, lift_demo, bad):
+    q0 = toy_hand.mid_range()
+    q_path = np.tile(q0, (4, 1))
+    plan = ControlPlan(
+        q_path=q_path,
+        spline=fit_smooth_trajectory(q_path, 30.0),
+        a_primary=np.tile(q0, (10, 1)),
+        frequency=120.0,
+        fps=30.0,
+    )
+    episode = EpisodeSpec(
+        pregrasp_step=0, goal_step=5, horizon=10, target_pose=lift_demo.object_poses[-1]
+    )
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q0, lift_demo.object_poses[0])
+    env = GraspEnv(world, plan, episode, GUIDE_MAP, ActionRescaler(toy_hand))
+    env.reset()
+    action = np.zeros(env.dim_act)
+    action[-1] = bad
+    obs, reward, done, info = env.step(action)
+    assert reward == DIVERGENCE_PENALTY
+    assert done and info["diverged"]
+    assert obs.shape == (env.dim_obs,)
+    assert not env.success()
 
 
 def test_select_pregrasp_nearest_keeps_earliest_on_plateau():

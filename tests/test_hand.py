@@ -176,20 +176,14 @@ def test_gravity_torques_match_potential_gradient():
                 u -= link.mass * float(g @ com_w)
         return u
 
-    from demo2dex.retarget import ActuatorModel
-
-    act = ActuatorModel(kp=np.ones(model.dof), kd=np.ones(model.dof), gravity=True)
     eps = 1e-7
     for _ in range(5):
         q = model.clamp(RNG.uniform(-0.5, 0.5, model.dof))
         tau = model.gravity_torques(model.fk(q))
-        ff = act.feedforward(model, q, np.zeros(model.dof), np.zeros(model.dof))
         for k in range(model.dof):
             qp, qm = q.copy(), q.copy()
             qp[k] += eps
             qm[k] -= eps
             grad_u = (potential(qp) - potential(qm)) / (2 * eps)
-            # the torque gravity exerts is minus the potential gradient;
-            # the compensating feedforward is the gradient itself
+            # the torque gravity exerts is minus the potential gradient
             assert abs(tau[k] + grad_u) < 1e-5
-            assert abs(ff[k] - grad_u) < 1e-5

@@ -36,6 +36,14 @@ def far_hand_world(geometry, config=None, pose=None) -> SimWorld:
     )
 
 
+@pytest.mark.parametrize("bad", [0.0, -5.0])
+def test_rejects_non_positive_kp(bad):
+    kp = np.full(hand_from_dict(planar_hand_dict()).dof, 150.0)
+    kp[6] = bad
+    with pytest.raises(ValueError, match="kp"):
+        far_hand_world(box_geometry(), config=SimConfig(kp=kp))
+
+
 def test_box_inertia_matches_analytic():
     m = 0.37
     a, b, c = 0.05, 0.02, 0.08  # half extents
