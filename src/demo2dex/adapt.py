@@ -128,12 +128,12 @@ class ActionRescaler:
 
 @dataclass
 class EpisodeSpec:
-    pregrasp_step: int
     goal_step: int
     horizon: int  # absolute control step at which the episode ends
     target_pose: Pose6  # recorded object pose at the horizon
     success_radius: float = SUCCESS_RADIUS
     warnings: list[str] = field(default_factory=list)
+    pregrasp_step: int = 0  # chosen on the primary replay by `select_pregrasp`
 
     @property
     def length(self) -> int:
@@ -156,26 +156,24 @@ def find_goal_frame(demo: DemoSequence, deviation: float = GOAL_DEVIATION) -> tu
 def select_pregrasp(
     records: list[WorldState],
     mapped: list[MappedContact],
-    limit: int,
     guide_finger: int = 0,
     mode: str = "nearest",
     threshold: float | None = None,
 ) -> tuple[int, list[str]]:
     """Pick the episode start among contact-free steps of the primary replay.
 
-    The guide fingertip (by default the first, the opposing digit) is measured
-    against its own recorded contact point, carried along with the replayed
-    object pose.
+    Every record given is a candidate; the caller replays only the steps
+    before the goal. The guide fingertip (by default the first, the opposing
+    digit) is measured against its own recorded contact point, carried along
+    with the replayed object pose.
     """
     guide_points = [c.point_obj for c in mapped if c.finger == guide_finger]
     if not guide_points:
         raise AdaptError(f"guide finger {guide_finger} has no recorded contact")
     point_obj = guide_points[0]
-    limit = min(limit, len(records))
     best, best_d = None, math.inf
     warnings: list[str] = []
-    for t in range(limit):
-        rec = records[t]
+    for t, rec in enumerate(records):
         if rec.hand_contact:
             continue
         c_world = rec.object_pose.apply(point_obj)
@@ -201,28 +199,22 @@ def select_pregrasp(
 def build_episode(
     demo: DemoSequence,
     plan: ControlPlan,
-    records: list[WorldState],
-    mapped: list[MappedContact],
-    guide_finger: int = 0,
-    mode: str = "nearest",
-    threshold: float | None = None,
     grace_steps: int = GRACE_STEPS,
     goal_deviation: float = GOAL_DEVIATION,
     success_radius: float = SUCCESS_RADIUS,
 ) -> EpisodeSpec:
+    """Episode window from the recording alone: the goal step, the horizon
+    `grace_steps` after it, and the recorded object pose there. The start,
+    `pregrasp_step`, is chosen later on the replay of the steps before the goal.
+    """
     warnings: list[str] = []
     goal_frame, w = find_goal_frame(demo, goal_deviation)
     warnings += w
     scale = plan.frequency / demo.fps
     goal_step = int(round(goal_frame * scale))
-    pregrasp, w = select_pregrasp(
-        records, mapped, limit=max(goal_step, 1), guide_finger=guide_finger,
-        mode=mode, threshold=threshold,
-    )
-    warnings += w
-    if pregrasp >= goal_step:
-        raise AdaptError(f"pregrasp step {pregrasp} does not precede the goal step {goal_step}")
-    horizon = goal_step + grace_steps
+    if goal_step < 1:
+        raise AdaptError(f"goal step {goal_step} leaves no step for the episode to start at")
+    horizon = goal_step + int(grace_steps)
     n_steps = plan.a_primary.shape[0]
     if horizon > n_steps:
         warnings.append(
@@ -231,11 +223,10 @@ def build_episode(
     target_frame = min(int(round(horizon / scale)), demo.length - 1)
     target_pose = demo.object_poses[target_frame]
     return EpisodeSpec(
-        pregrasp_step=pregrasp,
         goal_step=goal_step,
         horizon=horizon,
         target_pose=target_pose,
-        success_radius=success_radius,
+        success_radius=float(success_radius),
         warnings=warnings,
     )
 
@@ -311,9 +302,10 @@ def compute_reward(
 class GraspEnv:
     """Episodic residual-control environment over a prepared simulation state.
 
-    `world_at_pregrasp` must already sit at the episode's first step (the
-    pre-episode prefix of the plan replayed once, outside); every reset clones
-    it, so resets are cheap and bitwise repeatable.
+    `world_at_pregrasp` must already sit at the episode's first step: the
+    pipeline passes the snapshot that the primary replay took before step
+    `episode.pregrasp_step`. Every reset clones it, so resets are cheap and
+    bitwise repeatable.
     """
 
     def __init__(
@@ -339,12 +331,7 @@ class GraspEnv:
         else:
             self._targets = plan.a_primary
         self.dim_act = self.model.dof
-        self.world: SimWorld | None = None
-        self._reset_probe()
-
-    def _reset_probe(self):
-        obs = self.reset()
-        self.dim_obs = obs.shape[0]
+        self.dim_obs = self.reset().shape[0]
 
     def reset(self) -> np.ndarray:
         self.world = self._proto.clone()
@@ -352,9 +339,7 @@ class GraspEnv:
         self.d_closest: float | None = None
         self.object_z0 = float(self.world.object_pose().pos[2])
         self.diverged = False
-        self.last_components: dict[str, float] = {}
         fk = self.model.fk(self.world.q)
-        self._last_state = None
         return self._observe(
             self.world.q, self.world.qdot, self.world.object_pose(),
             np.zeros(3), np.zeros(3), self.model.fingertip_positions(fk),
@@ -381,8 +366,6 @@ class GraspEnv:
         )
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
-        if self.world is None:
-            raise AdaptError("step() before reset()")
         base = self._targets[self.t]
         executed = self.rescaler.residual(base, action)
         if not np.all(np.isfinite(action)):
@@ -405,8 +388,6 @@ class GraspEnv:
             self.consts,
             self.d_closest,
         )
-        self.last_components = comps
-        self._last_state = state
         self.t += 1
         done = self.t >= self.episode.horizon
         obs = self._observe(
@@ -421,11 +402,11 @@ class GraspEnv:
         """End the episode with the divergence penalty: the simulation blew up,
         or the policy emitted a non-finite action the simulator cannot take."""
         self.diverged = True
-        obs = np.zeros(self.dim_obs) if hasattr(self, "dim_obs") else None
+        obs = np.zeros(self.dim_obs)
         return obs, DIVERGENCE_PENALTY, True, {"diverged": True, "executed": executed}
 
     def success(self) -> bool:
-        if self.world is None or self.diverged:
+        if self.diverged:
             return False
         err = np.linalg.norm(self.world.object_pose().pos - self.episode.target_pose.pos)
         return bool(err <= self.episode.success_radius)

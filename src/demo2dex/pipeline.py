@@ -1,9 +1,12 @@
 """End-to-end transfer: recording in, executable trajectory and scores out.
 
-Stages: ingest -> retarget -> primary replay -> episode configuration ->
-residual training (optional) -> deterministic grasp rollout -> wrist-attached
-manipulation tracking -> metrics. Every stage is deterministic for a given
-(config, seed), and all artifacts are canonical JSON.
+Stages: ingest -> retarget -> episode window (goal step from the recording) ->
+primary replay up to the goal step -> pregrasp step, whose snapshot from the
+replay is the episode's start -> residual training (optional) ->
+deterministic grasp rollout -> wrist-attached manipulation tracking ->
+metrics, scored from the trajectory record as `evaluate_run` scores it.
+Every stage is deterministic for a given (config, seed), and all artifacts
+are canonical JSON.
 
 A finished run is keyed by a content hash of the config, the bytes of the hand
 and recording files, the seed, `no_rl` and `VERSION`, and a rerun with the same
@@ -27,6 +30,7 @@ from .adapt import (
     RewardConstants,
     build_episode,
     map_contacts,
+    select_pregrasp,
 )
 from .demo import DemoSequence, extract_contacts, load_demo
 from .geometry import Pose6, Rotation3
@@ -122,26 +126,22 @@ def _policy_rollout(env: GraspEnv, policy_fn):
     return states, executed, env.success(), False
 
 
-def _compute_report(
-    full_poses: list[Pose6],
-    grasp_positions: np.ndarray,
-    target_pos: np.ndarray,
-    dropped: bool,
-    diverged: bool,
-    demo: DemoSequence,
-    frequency: float,
-    m_cfg: dict,
-) -> MetricReport:
-    ref = align_reference(demo.object_poses, demo.fps, len(full_poses), frequency)
-    ep, er = ep_er(full_poses, ref)
+def _score(traj: dict, demo: DemoSequence, m_cfg: dict) -> MetricReport:
+    """Metrics of a trajectory record, the dict stored as trajectory.json."""
+    poses = [_pose_from_row(r) for r in traj["poses"]]
+    frequency = float(traj["frequency"])
+    p, g = traj["prefix_len"], traj["grasp_len"]
+    grasp_positions = np.array([po.pos for po in poses[p : p + g]]).reshape(-1, 3)
+    ref = align_reference(demo.object_poses, demo.fps, len(poses), frequency)
+    ep, er = ep_er(poses, ref)
     held = sr_grasp(
         grasp_positions,
-        target_pos,
+        np.asarray(traj["target_pos"], dtype=np.float64),
         radius=float(m_cfg.get("success_radius", 0.05)),
         hold_steps=int(m_cfg.get("hold_steps", 60)),
     )
-    follow = (not dropped) and (not diverged)
-    s_exec = encode_semantics(resample_to_frames(full_poses, frequency, demo.fps, demo.length))
+    follow = not traj["dropped"] and not traj["diverged"]
+    s_exec = encode_semantics(resample_to_frames(poses, frequency, demo.fps, demo.length))
     s_demo = encode_semantics(demo.object_poses)
     score, sem_ok = tsr(s_exec, s_demo, threshold=float(m_cfg.get("tsr_threshold", 0.3)))
     return MetricReport(
@@ -199,6 +199,10 @@ def run_transfer(
             )
     model, _ = resolve_hand(hand_path)
     demo, _ = resolve_demo(demo_path)
+    # config sections go straight to their owners, so a misspelled key raises here
+    sim_cfg = SimConfig(**cfg.get("sim", {}))
+    rescaler = ActionRescaler(model, **cfg.get("rescale", {}))
+    consts = RewardConstants(**cfg.get("reward", {}))
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)  # unfinished until the new manifest lands
     warnings: list[str] = []
@@ -226,56 +230,24 @@ def run_transfer(
         run_dir.name, demo.length, 1e3 * mean_tip, time.perf_counter() - t0,
     )
 
-    # -- contacts and primary replay ----------------------------------------
+    # -- episode window, primary replay up to the goal, episode start ----------
     t0 = time.perf_counter()
-    contacts = extract_contacts(demo)
-    mapped = map_contacts(contacts, model)
-    sim_cfg = SimConfig(**cfg.get("sim", {}))
-    q0 = plan.q_path[0]
+    mapped = map_contacts(extract_contacts(demo), model)
+    episode = build_episode(demo, plan, **cfg.get("episode", {}))
     obj0 = demo.object_poses[0]
-    world = SimWorld(model, demo.geometry, sim_cfg, q0, obj0)
-    records = replay(world, plan.a_primary)
-
-    # -- episode configuration -------------------------------------------------
-    p_cfg = cfg.get("pregrasp", {})
-    e_cfg = cfg.get("episode", {})
-    episode = build_episode(
-        demo,
-        plan,
-        records,
-        mapped,
-        guide_finger=int(p_cfg.get("guide_finger", 0)),
-        mode=p_cfg.get("mode", "nearest"),
-        threshold=p_cfg.get("threshold"),
-        grace_steps=int(e_cfg.get("grace_steps", 60)),
-        goal_deviation=float(e_cfg.get("goal_deviation", 0.1)),
-        success_radius=float(e_cfg.get("success_radius", 0.05)),
-    )
+    world = SimWorld(model, demo.geometry, sim_cfg, plan.q_path[0], obj0)
+    # the episode starts before the goal step, so the replay stops there
+    records, starts = replay(world, plan.a_primary[: episode.goal_step])
+    episode.pregrasp_step, w = select_pregrasp(records, mapped, **cfg.get("pregrasp", {}))
+    episode.warnings += w
     warnings += episode.warnings
+    env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped, rescaler, consts)
+    del starts  # only the start snapshot is kept
     log.info(
         "%s: episode steps [%d, %d) around goal %d (replayed in %.1fs)",
         run_dir.name, episode.pregrasp_step, episode.horizon, episode.goal_step,
         time.perf_counter() - t0,
     )
-
-    # -- environment at the pregrasp state -------------------------------------
-    world_pre = SimWorld(model, demo.geometry, sim_cfg, q0, obj0)
-    for t in range(episode.pregrasp_step):
-        world_pre.step(plan.a_primary[t])
-    rs_cfg = cfg.get("rescale", {})
-    rescaler = ActionRescaler(
-        model,
-        wrist_rho=rs_cfg.get("wrist_rho"),
-        delta_max=float(rs_cfg.get("delta_max", 0.2)),
-    )
-    rw_cfg = cfg.get("reward", {})
-    consts = RewardConstants(
-        epsilon=float(rw_cfg.get("epsilon", 0.06)),
-        phi=float(rw_cfg.get("phi", 0.002)),
-        alpha=tuple(rw_cfg.get("alpha", (10.0, 10.0, 20.0))),
-        grasp_weights=tuple(rw_cfg.get("grasp_weights", (0.5, 0.5))),
-    )
-    env = GraspEnv(world_pre, plan, episode, mapped, rescaler, consts)
 
     # -- residual training -------------------------------------------------------
     train_result = None
@@ -298,21 +270,9 @@ def run_transfer(
     if diverged:
         warnings.append("grasp rollout diverged; scoring the partial trajectory")
 
-    full_poses: list[Pose6] = [obj0]
-    contact_flags: list[bool] = [False]
-    for t in range(episode.pregrasp_step):
-        full_poses.append(records[t].object_pose)
-        contact_flags.append(records[t].hand_contact)
-    prefix_len = len(full_poses)
-    for s in states:
-        full_poses.append(s.object_pose)
-        contact_flags.append(s.hand_contact)
-    grasp_len = len(states)
-
     # -- manipulation phase -----------------------------------------------------
     dropped = True
-    track = None
-    manip_len = 0
+    carried = []
     if states and not diverged:
         q_end = states[-1].q
         t_grasp = model.wrist_pose(model.fk(q_end))
@@ -325,30 +285,29 @@ def run_transfer(
             track = track_manipulation(
                 env.world, mplan, drop_steps=int(cfg.get("metrics", {}).get("drop_steps", 30))
             )
-            dropped = track.dropped
-            for r in track.records:
-                full_poses.append(r.object_pose)
-                contact_flags.append(r.hand_contact)
-            manip_len = len(track.records)
-            if track.diverged:
+            dropped, diverged, carried = track.dropped, track.diverged, track.records
+            if diverged:
                 warnings.append("manipulation tracking diverged; trajectory truncated")
         except WristPlanError as exc:
             warnings.append(str(exc))
             dropped = False  # nothing left to carry, so nothing was dropped
 
-    # -- metrics ------------------------------------------------------------------
-    m_cfg = cfg.get("metrics", {})
-    grasp_positions = np.array([s.object_pose.pos for s in states]).reshape(-1, 3)
-    report = _compute_report(
-        full_poses,
-        grasp_positions,
-        episode.target_pose.pos,
-        dropped,
-        diverged or (track.diverged if track else False),
-        demo,
-        frequency,
-        m_cfg,
-    )
+    # -- trajectory record and metrics ---------------------------------------------
+    prefix = records[: episode.pregrasp_step]
+    path = [*prefix, *states, *carried]
+    trajectory = {
+        "frequency": frequency,
+        "poses": [_pose_row(obj0)] + [_pose_row(s.object_pose) for s in path],
+        "contacts": [False] + [s.hand_contact for s in path],
+        "prefix_len": 1 + len(prefix),
+        "grasp_len": len(states),
+        "manip_len": len(carried),
+        "dropped": dropped,
+        "diverged": diverged,
+        "target_pos": episode.target_pose.pos.tolist(),
+        "grasp_success": grasp_ok,
+    }
+    report = _score(trajectory, demo, cfg.get("metrics", {}))
 
     # -- artifacts ---------------------------------------------------------------
     dump_json(plan.to_dict(), run_dir / "plan.json")
@@ -371,21 +330,7 @@ def run_transfer(
             for row in train_result.log:
                 fh.write(canonical_dumps(row) + "\n")
         dump_json(train_result.policy_dict(), run_dir / "policy.json")
-    dump_json(
-        {
-            "frequency": frequency,
-            "poses": [_pose_row(p) for p in full_poses],
-            "contacts": contact_flags,
-            "prefix_len": prefix_len,
-            "grasp_len": grasp_len,
-            "manip_len": manip_len,
-            "dropped": dropped,
-            "diverged": diverged or (track.diverged if track else False),
-            "target_pos": episode.target_pose.pos.tolist(),
-            "grasp_success": grasp_ok,
-        },
-        run_dir / "trajectory.json",
-    )
+    dump_json(trajectory, run_dir / "trajectory.json")
     dump_json(
         {
             "key": key,
@@ -442,19 +387,7 @@ def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
             f"recording at {demo_path} no longer matches the manifest hash"
         )
     traj = load_json(run_dir / "trajectory.json")
-    full_poses = [_pose_from_row(r) for r in traj["poses"]]
-    p, g = traj["prefix_len"], traj["grasp_len"]
-    grasp_positions = np.array([po.pos for po in full_poses[p : p + g]]).reshape(-1, 3)
-    report = _compute_report(
-        full_poses,
-        grasp_positions,
-        np.asarray(traj["target_pos"], dtype=np.float64),
-        bool(traj["dropped"]),
-        bool(traj["diverged"]),
-        demo,
-        float(traj["frequency"]),
-        manifest["config"].get("metrics", {}),
-    )
+    report = _score(traj, demo, manifest["config"].get("metrics", {}))
     stored = load_json(run_dir / "metrics.json")
     verified = canonical_dumps(stored["metrics"]) == canonical_dumps(report.to_dict())
     return report, verified

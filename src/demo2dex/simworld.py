@@ -432,9 +432,15 @@ class SimWorld:
         )
 
 
-def replay(world: SimWorld, controls: np.ndarray) -> list[WorldState]:
+def replay(world: SimWorld, controls: np.ndarray) -> tuple[list[WorldState], list[SimWorld]]:
     """Drive the world open loop through a control sequence, recording each step.
 
+    Returns the state after each step and a clone of the world taken before
+    it: stepping `starts[k]` through `controls[k:]` reproduces `states[k:]`.
     Raises SimDivergenceError (with the step index) if the object blows up.
     """
-    return [world.step(a) for a in np.asarray(controls, dtype=np.float64)]
+    states, starts = [], []
+    for a in np.asarray(controls, dtype=np.float64):
+        starts.append(world.clone())
+        states.append(world.step(a))
+    return states, starts

@@ -1,14 +1,20 @@
-"""Shared fixtures: bundled assets plus a hand-written miniature hand.
+"""Shared fixtures: bundled assets, a hand-written miniature hand, and one
+finished toy3 run.
 
 The planar hand is small enough that its kinematics can be checked by
 trigonometry on paper, which keeps the FK and jacobian tests independent of
 the code under test.
 """
+import json
+
 import numpy as np
 import pytest
 
 from demo2dex.hand import hand_from_dict
-from demo2dex.pipeline import resolve_config, resolve_demo, resolve_hand
+from demo2dex.pipeline import resolve_config, resolve_demo, resolve_hand, run_transfer
+from demo2dex.synthetic import asset_path
+
+STRIDE = 4  # toy3 run recording: every 4th frame of the bundled lift
 
 BUNDLED_HANDS = ["toy3", "adroit24", "allegro16", "leap16"]
 
@@ -114,3 +120,23 @@ def lift_demo():
 @pytest.fixture(scope="session")
 def toy_config():
     return resolve_config("lift_box_toy")
+
+
+@pytest.fixture(scope="session")
+def toy3_config(tmp_path_factory):
+    """The bundled config on the lift at every 4th frame, which keeps one
+    fresh `--no-rl` run near four seconds."""
+    work = tmp_path_factory.mktemp("toy3")
+    recording = json.loads(asset_path("demos", "lift_box.json").read_text())
+    recording["frames"] = recording["frames"][::STRIDE]
+    recording["fps"] = recording["fps"] / STRIDE
+    rec_path = work / "recording.json"
+    rec_path.write_text(json.dumps(recording))
+    config = resolve_config("lift_box_toy")
+    config["demo"] = str(rec_path)
+    return config
+
+
+@pytest.fixture(scope="session")
+def toy3_run(toy3_config, tmp_path_factory):
+    return run_transfer(toy3_config, tmp_path_factory.mktemp("runs"), no_rl=True)

@@ -278,7 +278,7 @@ def test_non_finite_action_ends_episode_as_divergence(toy_hand, lift_demo, bad):
 def test_select_pregrasp_nearest_keeps_earliest_on_plateau():
     dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.0099999, 0.0099998]
     recs = fake_records(dists, [False] * 9)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, limit=9)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP)
     assert idx == 6  # sub-micron creep does not move the selection
     assert warnings == []
 
@@ -287,14 +287,14 @@ def test_select_pregrasp_skips_contact_steps():
     dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.005, 0.001]
     contact = [False] * 7 + [True, True]
     recs = fake_records(dists, contact)
-    idx, _ = select_pregrasp(recs, GUIDE_MAP, limit=9)
+    idx, _ = select_pregrasp(recs, GUIDE_MAP)
     assert idx == 6  # closer steps are already touching and ineligible
 
 
 def test_select_pregrasp_threshold_mode():
     dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.01, 0.01]
     recs = fake_records(dists, [False] * 9)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, limit=9, mode="threshold", threshold=0.06)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP, mode="threshold", threshold=0.06)
     assert idx == 3  # first contact-free step under the threshold
     assert warnings == []
 
@@ -302,7 +302,7 @@ def test_select_pregrasp_threshold_mode():
 def test_select_pregrasp_threshold_fallback_warns():
     dists = [0.5, 0.3, 0.1]
     recs = fake_records(dists, [False] * 3)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, limit=3, mode="threshold", threshold=0.01)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP, mode="threshold", threshold=0.01)
     assert idx == 2  # nearest fallback
     assert len(warnings) == 1 and "falling back" in warnings[0]
 
@@ -310,13 +310,13 @@ def test_select_pregrasp_threshold_fallback_warns():
 def test_select_pregrasp_all_touching_raises():
     recs = fake_records([0.1, 0.05], [True, True])
     with pytest.raises(AdaptError):
-        select_pregrasp(recs, GUIDE_MAP, limit=2)
+        select_pregrasp(recs, GUIDE_MAP)
 
 
 def test_select_pregrasp_unknown_mode_raises():
     recs = fake_records([0.1, 0.05], [False, False])
     with pytest.raises(AdaptError):
-        select_pregrasp(recs, GUIDE_MAP, limit=2, mode="sideways")
+        select_pregrasp(recs, GUIDE_MAP, mode="sideways")
 
 
 def test_find_goal_frame_on_bundled_demo(lift_demo):

@@ -1,19 +1,15 @@
 """End-to-end transfer on toy3 without training: golden metrics, the run
 cache, and verification of stored artifacts.
 
-The recording is the bundled lift at every 4th frame, which keeps one fresh
-run near four seconds.
+The run is the `toy3_run` fixture of conftest.py.
 """
-import json
+import copy
 import shutil
 
 import pytest
 
 from demo2dex.jsonio import dump_json, load_json
-from demo2dex.pipeline import evaluate_run, resolve_config, run_transfer
-from demo2dex.synthetic import asset_path
-
-STRIDE = 4
+from demo2dex.pipeline import evaluate_run, run_transfer
 
 # metrics of the toy3 --no-rl run, recorded from the implementation this
 # test was written against; any change to them is a change of behaviour
@@ -28,24 +24,6 @@ GOLDEN = {
     "semantics_recorded": [1, 2],
 }
 GOLDEN_TOL = 1e-9
-
-
-@pytest.fixture(scope="module")
-def toy3_config(tmp_path_factory):
-    work = tmp_path_factory.mktemp("toy3")
-    recording = json.loads(asset_path("demos", "lift_box.json").read_text())
-    recording["frames"] = recording["frames"][::STRIDE]
-    recording["fps"] = recording["fps"] / STRIDE
-    rec_path = work / "recording.json"
-    rec_path.write_text(json.dumps(recording))
-    config = resolve_config("lift_box_toy")
-    config["demo"] = str(rec_path)
-    return config
-
-
-@pytest.fixture(scope="module")
-def toy3_run(toy3_config, tmp_path_factory):
-    return run_transfer(toy3_config, tmp_path_factory.mktemp("runs"), no_rl=True)
 
 
 def assert_golden(metrics: dict):
@@ -102,3 +80,11 @@ def test_stale_metrics_behind_a_matching_manifest_are_recomputed(toy3_config, to
     assert sorted(p.name for p in stale_dir.iterdir()) == sorted(
         p.name for p in toy3_run.run_dir.iterdir()
     )
+
+
+def test_misspelled_config_key_raises(toy3_config, tmp_path):
+    # each config section goes straight to the parameters of its owner
+    config = copy.deepcopy(toy3_config)
+    config["rescale"]["delta_mx"] = config["rescale"].pop("delta_max")
+    with pytest.raises(TypeError, match="delta_mx"):
+        run_transfer(config, tmp_path, no_rl=True)

@@ -1,5 +1,5 @@
 """Dynamics checks: closed-form kinematics of falling bodies, inertia
-tensors, resting and sliding contact, determinism."""
+tensors, resting and sliding contact, determinism, replay snapshots."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,8 @@ from demo2dex.collision import ConvexPiece
 from demo2dex.demo import ObjectGeometry
 from demo2dex.geometry import Pose6, Rotation3
 from demo2dex.hand import hand_from_dict
-from demo2dex.simworld import SimConfig, SimDivergenceError, SimWorld, _body_inertia
+from demo2dex.simworld import SimConfig, SimDivergenceError, SimWorld, _body_inertia, replay
+from demo2dex.synthetic import WRIST_GRASP
 
 from conftest import planar_hand_dict
 
@@ -199,3 +200,41 @@ def test_hand_contact_detected_when_pressed():
     assert saw_contact
     rows = world.collision_query()
     assert any(d < 1e-3 for _, d, _, _ in rows)
+
+
+def assert_same_state(got, want):
+    for name in ("q", "qdot", "v", "w", "fingertips"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.object_pose.pos, want.object_pose.pos)
+    assert np.array_equal(got.object_pose.rot.q, want.object_pose.rot.q)
+    assert got.hand_contact == want.hand_contact
+
+
+def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
+    # toy3 at the recorded grasp pose closes its fingers on the resting box
+    q_open = np.zeros(toy_hand.dof)
+    q_open[:3] = WRIST_GRASP
+    q_shut = q_open.copy()
+    q_shut[6:] = 0.6
+    controls = np.linspace(q_open, q_shut, 40)
+    obj0 = lift_demo.object_poses[0]
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q_open, obj0)
+    states, starts = replay(world, controls)
+    assert len(starts) == len(states) == len(controls)
+    touch = next(k for k, s in enumerate(states) if s.hand_contact)
+    for k in (0, touch + 1, len(controls) - 1):
+        # the reference: a second world stepped through the prefix
+        ref = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q_open, obj0)
+        for a in controls[:k]:
+            ref.step(a)
+        snap = starts[k]
+        for name in ("q", "qdot", "com_w", "v", "w"):
+            assert np.array_equal(getattr(snap, name), getattr(ref, name)), (k, name)
+        assert np.array_equal(snap.rot.q, ref.rot.q)
+        assert snap.step_index == ref.step_index == k
+        assert snap._contacts.keys() == ref._contacts.keys()
+        assert bool(ref._contacts) == (k > 0)  # contacts form during the first step
+        for key, c in ref._contacts.items():
+            assert np.array_equal(snap._contacts[key].anchor, c.anchor), (k, key)
+        for a, want in zip(controls[k:], states[k:]):
+            assert_same_state(snap.step(a), want)
