@@ -339,10 +339,9 @@ class GraspEnv:
         self.d_closest: float | None = None
         self.object_z0 = float(self.world.object_pose().pos[2])
         self.diverged = False
-        fk = self.model.fk(self.world.q)
         return self._observe(
             self.world.q, self.world.qdot, self.world.object_pose(),
-            np.zeros(3), np.zeros(3), self.model.fingertip_positions(fk),
+            np.zeros(3), np.zeros(3), self.model.fingertip_positions(self.world.fkres),
         )
 
     def _observe(self, q, qdot, obj_pose, v, w, tips) -> np.ndarray:
@@ -374,8 +373,7 @@ class GraspEnv:
             state = self.world.step(executed)
         except SimDivergenceError:
             return self._diverge(executed)
-        fk = self.model.fk(state.q)
-        distal = np.array([d for _, d, _, _ in self.world.collision_query(fk)])
+        distal = np.array([d for _, d, _, _ in self.world.collision_query()])
         reward, comps, self.d_closest = compute_reward(
             state.q,
             base,

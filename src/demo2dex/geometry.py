@@ -154,6 +154,18 @@ def geodesic_angle(a: Rotation3, b: Rotation3) -> float:
     return 2.0 * float(np.arctan2(np.linalg.norm(qr[1:]), abs(qr[0])))
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two float64 arrays of shape (3,).
+
+    The same products and differences, in the same order, as `np.cross`, so
+    the result is bitwise equal; it skips `np.cross`'s broadcasting and axis
+    handling, which cost far more than the arithmetic on one pair of vectors.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def unit_vector_angle(u, v) -> float:
     """Angle in [0, pi] between two 3-vectors (geodesic distance on the sphere)."""
     u = np.asarray(u, dtype=np.float64)
@@ -161,7 +173,7 @@ def unit_vector_angle(u, v) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu < _EPS or nv < _EPS:
         raise ValueError("cannot measure angle against a zero vector")
-    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), float(np.dot(u, v))))
+    return float(np.arctan2(np.linalg.norm(cross3(u, v)), float(np.dot(u, v))))
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation3:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Pose6, Rotation3
+from .geometry import Pose6, Rotation3, cross3
 
 WORLD = "world"
 
@@ -170,6 +170,8 @@ class HandModel:
         for i, j in enumerate(self.joints):
             parent_joint[j.child] = i
         self._chain: dict[str, tuple[int, ...]] = {}
+        # per link, the chain's revolute and prismatic jacobian columns
+        self._chain_cols: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in self.links:
             chain = []
             cur = name
@@ -177,7 +179,12 @@ class HandModel:
                 ji = parent_joint[cur]
                 chain.append(ji)
                 cur = self.joints[ji].parent
-            self._chain[name] = tuple(reversed(chain))
+            chain = tuple(reversed(chain))
+            self._chain[name] = chain
+            self._chain_cols[name] = tuple(
+                np.array([ji for ji in chain if self.joints[ji].jtype == kind], dtype=np.intp)
+                for kind in ("revolute", "prismatic")
+            )
         # distal links: the ones fingertip sites attach to, in fingertip order
         self.distal_links = tuple(s.link for s in self.fingertip_sites)
         self.fingertip_order = {s.name: i for i, s in enumerate(self.fingertip_sites)}
@@ -224,14 +231,20 @@ class HandModel:
         return FKResult(q, link_rot, link_pos, joint_axis_w, joint_pos_w, site_pos)
 
     def point_jacobian(self, fkres: FKResult, link: str, point_w: np.ndarray) -> np.ndarray:
-        """d(point)/dq for a world point rigidly attached to `link`; (3, D)."""
+        """d(point)/dq for a world point rigidly attached to `link`; (3, D).
+
+        A revolute column is z_i x (p - o_i), a prismatic one z_i. The whole
+        chain is computed at once, with the products and differences of
+        `np.cross` written out, so each column is bitwise what `np.cross` gives.
+        """
+        rev, pri = self._chain_cols[link]
+        z0, z1, z2 = fkres.joint_axis_w[rev].T
+        d0, d1, d2 = (point_w - fkres.joint_pos_w[rev]).T
         jac = np.zeros((3, self.dof))
-        for ji in self._chain[link]:
-            j = self.joints[ji]
-            if j.jtype == "revolute":
-                jac[:, ji] = np.cross(fkres.joint_axis_w[ji], point_w - fkres.joint_pos_w[ji])
-            else:
-                jac[:, ji] = fkres.joint_axis_w[ji]
+        jac[0, rev] = z1 * d2 - z2 * d1
+        jac[1, rev] = z2 * d0 - z0 * d2
+        jac[2, rev] = z0 * d1 - z1 * d0
+        jac[:, pri] = fkres.joint_axis_w[pri].T
         return jac
 
     def fingertip_positions(self, fkres: FKResult) -> np.ndarray:
@@ -248,7 +261,7 @@ class HandModel:
         p_index = fkres.site_pos[self.palm_sites[0].name]
         p_ring = fkres.site_pos[self.palm_sites[1].name]
         p_wrist = fkres.site_pos[self.palm_sites[2].name]
-        u = np.cross(p_index - p_wrist, p_ring - p_wrist)
+        u = cross3(p_index - p_wrist, p_ring - p_wrist)
         n = np.linalg.norm(u)
         if n < 1e-12:
             raise HandModelError("palm sites are collinear; palm plane is undefined")
@@ -262,7 +275,7 @@ class HandModel:
         p_w = fkres.site_pos[s_wrist.name]
         e1 = p_i - p_w
         e2 = p_r - p_w
-        u = np.cross(e1, e2)
+        u = cross3(e1, e2)
         norm_u = np.linalg.norm(u)
         if norm_u < 1e-12:
             raise HandModelError("palm sites are collinear; palm plane is undefined")
@@ -271,8 +284,16 @@ class HandModel:
         j_w = self.point_jacobian(fkres, s_wrist.link, p_w)
         de1 = j_i - j_w
         de2 = j_r - j_w
-        # du_k = de1_k x e2 + e1 x de2_k, assembled column-wise
-        du = np.cross(de1.T, e2).T + np.cross(e1, de2.T).T
+        # du_k = de1_k x e2 + e1 x de2_k for every column k, as np.cross computes it
+        a0, a1, a2 = de1
+        b0, b1, b2 = de2
+        x0, x1, x2 = e1.tolist()
+        y0, y1, y2 = e2.tolist()
+        du = np.array([
+            (a1 * y2 - a2 * y1) + (x1 * b2 - x2 * b1),
+            (a2 * y0 - a0 * y2) + (x2 * b0 - x0 * b2),
+            (a0 * y1 - a1 * y0) + (x0 * b1 - x1 * b0),
+        ])
         n_hat = u / norm_u
         dn = (np.eye(3) - np.outer(n_hat, n_hat)) @ du / norm_u
         return self.palm_normal_sign * n_hat, self.palm_normal_sign * dn
@@ -294,7 +315,7 @@ class HandModel:
                 j = self.joints[ji]
                 if j.jtype == "revolute":
                     tau[ji] += np.dot(
-                        np.cross(fkres.joint_axis_w[ji], com_w - fkres.joint_pos_w[ji]), force
+                        cross3(fkres.joint_axis_w[ji], com_w - fkres.joint_pos_w[ji]), force
                     )
                 else:
                     tau[ji] += np.dot(fkres.joint_axis_w[ji], force)

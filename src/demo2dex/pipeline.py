@@ -16,6 +16,7 @@ code change, rerun with `force=True` (`transfer run --force`).
 from __future__ import annotations
 
 import concurrent.futures
+import inspect
 import logging
 import os
 import time
@@ -37,6 +38,9 @@ from .geometry import Pose6, Rotation3
 from .hand import HandModel, load_hand
 from .jsonio import canonical_dumps, dump_json, load_json, sha256_file, sha256_of
 from .metrics import (
+    HOLD_STEPS,
+    SUCCESS_RADIUS,
+    TSR_THRESHOLD,
     MetricReport,
     align_reference,
     encode_semantics,
@@ -55,7 +59,7 @@ from .retarget import (
 )
 from .simworld import SimConfig, SimWorld, replay
 from .synthetic import asset_path
-from .wrist import WristPlanError, plan_wrist, track_manipulation
+from .wrist import DROP_STEPS, WristPlanError, plan_wrist, track_manipulation
 
 VERSION = "0.1.0"
 log = logging.getLogger("demo2dex")
@@ -87,6 +91,26 @@ def resolve_demo(spec) -> tuple[DemoSequence, Path]:
 
 def resolve_config(spec) -> dict:
     return load_json(_locate("configs", spec))
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    """The `metrics` config section: scoring thresholds and the drop window of
+    the manipulation phase."""
+
+    success_radius: float = SUCCESS_RADIUS
+    hold_steps: int = HOLD_STEPS
+    tsr_threshold: float = TSR_THRESHOLD
+    drop_steps: int = DROP_STEPS
+
+
+def _keyword_section(cfg: dict, name: str, fn) -> dict:
+    """Config section `name`, checked now against the parameters of `fn`, which
+    takes it as keyword arguments later: a misspelled key raises TypeError
+    before any stage runs."""
+    section = cfg.get(name, {})
+    inspect.signature(fn).bind_partial(**section)
+    return section
 
 
 @dataclass
@@ -126,7 +150,7 @@ def _policy_rollout(env: GraspEnv, policy_fn):
     return states, executed, env.success(), False
 
 
-def _score(traj: dict, demo: DemoSequence, m_cfg: dict) -> MetricReport:
+def _score(traj: dict, demo: DemoSequence, m_cfg: MetricsConfig) -> MetricReport:
     """Metrics of a trajectory record, the dict stored as trajectory.json."""
     poses = [_pose_from_row(r) for r in traj["poses"]]
     frequency = float(traj["frequency"])
@@ -137,13 +161,13 @@ def _score(traj: dict, demo: DemoSequence, m_cfg: dict) -> MetricReport:
     held = sr_grasp(
         grasp_positions,
         np.asarray(traj["target_pos"], dtype=np.float64),
-        radius=float(m_cfg.get("success_radius", 0.05)),
-        hold_steps=int(m_cfg.get("hold_steps", 60)),
+        radius=float(m_cfg.success_radius),
+        hold_steps=int(m_cfg.hold_steps),
     )
     follow = not traj["dropped"] and not traj["diverged"]
     s_exec = encode_semantics(resample_to_frames(poses, frequency, demo.fps, demo.length))
     s_demo = encode_semantics(demo.object_poses)
-    score, sem_ok = tsr(s_exec, s_demo, threshold=float(m_cfg.get("tsr_threshold", 0.3)))
+    score, sem_ok = tsr(s_exec, s_demo, threshold=float(m_cfg.tsr_threshold))
     return MetricReport(
         ep=ep,
         er_deg=er,
@@ -203,18 +227,17 @@ def run_transfer(
     sim_cfg = SimConfig(**cfg.get("sim", {}))
     rescaler = ActionRescaler(model, **cfg.get("rescale", {}))
     consts = RewardConstants(**cfg.get("reward", {}))
+    weights = RetargetWeights(**cfg.get("retarget", {}))
+    m_cfg = MetricsConfig(**cfg.get("metrics", {}))
+    tr_cfg = TrainConfig.from_dict(cfg.get("rl", {}))
+    episode_kw = _keyword_section(cfg, "episode", build_episode)
+    pregrasp_kw = _keyword_section(cfg, "pregrasp", select_pregrasp)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)  # unfinished until the new manifest lands
     warnings: list[str] = []
 
     # -- retarget ------------------------------------------------------------
     t0 = time.perf_counter()
-    r_cfg = cfg.get("retarget", {})
-    weights = RetargetWeights(
-        fingertip=float(r_cfg.get("fingertip_weight", 1.0)),
-        palm=float(r_cfg.get("palm_weight", 0.1)),
-        smooth=float(r_cfg.get("smooth_weight", 0.05)),
-    )
     seq = retarget_sequence(model, demo.hand, weights)
     warnings += seq.warnings
     spline = fit_smooth_trajectory(seq.q_path, demo.fps)
@@ -233,12 +256,12 @@ def run_transfer(
     # -- episode window, primary replay up to the goal, episode start ----------
     t0 = time.perf_counter()
     mapped = map_contacts(extract_contacts(demo), model)
-    episode = build_episode(demo, plan, **cfg.get("episode", {}))
+    episode = build_episode(demo, plan, **episode_kw)
     obj0 = demo.object_poses[0]
     world = SimWorld(model, demo.geometry, sim_cfg, plan.q_path[0], obj0)
     # the episode starts before the goal step, so the replay stops there
     records, starts = replay(world, plan.a_primary[: episode.goal_step])
-    episode.pregrasp_step, w = select_pregrasp(records, mapped, **cfg.get("pregrasp", {}))
+    episode.pregrasp_step, w = select_pregrasp(records, mapped, **pregrasp_kw)
     episode.warnings += w
     warnings += episode.warnings
     env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped, rescaler, consts)
@@ -256,7 +279,6 @@ def run_transfer(
         policy_fn = lambda obs: zero
     else:
         t0 = time.perf_counter()
-        tr_cfg = TrainConfig.from_dict(cfg.get("rl", {}))
         train_result = train_residual_policy(env, tr_cfg, seed)
         policy_fn = lambda obs: train_result.policy.mean(train_result.obs_norm.normalize(obs))
         log.info(
@@ -274,17 +296,14 @@ def run_transfer(
     dropped = True
     carried = []
     if states and not diverged:
-        q_end = states[-1].q
-        t_grasp = model.wrist_pose(model.fk(q_end))
+        t_grasp = model.wrist_pose(env.world.fkres)  # the world sits at states[-1]
         o_grasp = states[-1].object_pose
         try:
             mplan = plan_wrist(
                 model, demo, t_grasp, o_grasp, executed[-1], episode.horizon, frequency
             )
             warnings += mplan.warnings
-            track = track_manipulation(
-                env.world, mplan, drop_steps=int(cfg.get("metrics", {}).get("drop_steps", 30))
-            )
+            track = track_manipulation(env.world, mplan, drop_steps=int(m_cfg.drop_steps))
             dropped, diverged, carried = track.dropped, track.diverged, track.records
             if diverged:
                 warnings.append("manipulation tracking diverged; trajectory truncated")
@@ -307,7 +326,7 @@ def run_transfer(
         "target_pos": episode.target_pose.pos.tolist(),
         "grasp_success": grasp_ok,
     }
-    report = _score(trajectory, demo, cfg.get("metrics", {}))
+    report = _score(trajectory, demo, m_cfg)
 
     # -- artifacts ---------------------------------------------------------------
     dump_json(plan.to_dict(), run_dir / "plan.json")
@@ -387,7 +406,7 @@ def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
             f"recording at {demo_path} no longer matches the manifest hash"
         )
     traj = load_json(run_dir / "trajectory.json")
-    report = _score(traj, demo, manifest["config"].get("metrics", {}))
+    report = _score(traj, demo, MetricsConfig(**manifest["config"].get("metrics", {})))
     stored = load_json(run_dir / "metrics.json")
     verified = canonical_dumps(stored["metrics"]) == canonical_dumps(report.to_dict())
     return report, verified

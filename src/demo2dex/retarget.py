@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from .geometry import cross3
 from .hand import HandModel
 from .spline import JerkMinSpline
 
@@ -33,14 +34,17 @@ class RetargetError(ValueError):
 
 @dataclass(frozen=True)
 class RetargetWeights:
-    fingertip: float = 1.0
-    palm: float = 0.1
-    smooth: float = 0.05
+    """w_f, w_o and w_s of the objective; the fields are the keys of the
+    `retarget` config section."""
+
+    fingertip_weight: float = 1.0
+    palm_weight: float = 0.1
+    smooth_weight: float = 0.05
 
     def __post_init__(self):
-        if self.fingertip <= 0:
+        if self.fingertip_weight <= 0:
             raise RetargetError("fingertip weight must be positive")
-        if self.palm < 0 or self.smooth < 0:
+        if self.palm_weight < 0 or self.smooth_weight < 0:
             raise RetargetError("palm and smoothness weights must be nonnegative")
 
 
@@ -67,12 +71,13 @@ def split_hand_frame(h):
 
 
 def _mapped_targets(model: HandModel, tips: np.ndarray):
-    """Pairs of (fingertip site, target position) for fingers the hand maps."""
+    """Pairs of (fingertip `Site`, target position) for fingers the hand maps."""
+    site_by_name = {s.name: s for s in model.fingertip_sites}
     out = []
-    for finger, site in sorted(model.correspondence.items()):
+    for finger, name in sorted(model.correspondence.items()):
         if finger < 0 or finger >= HUMAN_FINGERS:
             raise RetargetError(f"correspondence finger index {finger} out of range")
-        out.append((site, tips[finger]))
+        out.append((site_by_name[name], tips[finger]))
     return out
 
 
@@ -81,29 +86,27 @@ def _objective_terms(model, q, targets, normal_h, q_prev, w):
     grad = np.zeros(model.dof)
     e_f = 0.0
     tip_err = 0.0
-    site_by_name = {s.name: s for s in model.fingertip_sites}
-    for site_name, target in targets:
-        site = site_by_name[site_name]
-        p = fkres.site_pos[site_name]
+    for site, target in targets:
+        p = fkres.site_pos[site.name]
         r = p - target
         e_f += float(r @ r)
         tip_err += float(np.linalg.norm(r))
         jac = model.point_jacobian(fkres, site.link, p)
-        grad += 2.0 * w.fingertip * (jac.T @ r)
+        grad += 2.0 * w.fingertip_weight * (jac.T @ r)
     e_o = 0.0
-    if w.palm > 0.0:
+    if w.palm_weight > 0.0:
         n_r, dn = model.palm_normal_jacobian(fkres)
         cos_t = float(np.clip(n_r @ normal_h, -1.0, 1.0))
-        sin_t = float(np.linalg.norm(np.cross(n_r, normal_h)))
+        sin_t = float(np.linalg.norm(cross3(n_r, normal_h)))
         theta = float(np.arctan2(sin_t, cos_t))
         e_o = theta * theta
         # d(theta^2)/dq = -2 (theta / sin theta) * d(cos theta)/dq, smooth at 0
         factor = theta / sin_t if sin_t > 1e-8 else 1.0
-        grad += w.palm * (-2.0 * factor) * (dn.T @ normal_h)
+        grad += w.palm_weight * (-2.0 * factor) * (dn.T @ normal_h)
     dq = q - q_prev
     e_s = float(dq @ dq)
-    grad += 2.0 * w.smooth * dq
-    f = w.fingertip * e_f + w.palm * e_o + w.smooth * e_s
+    grad += 2.0 * w.smooth_weight * dq
+    f = w.fingertip_weight * e_f + w.palm_weight * e_o + w.smooth_weight * e_s
     return f, grad, tip_err / max(len(targets), 1)
 
 
@@ -183,7 +186,7 @@ def retarget_sequence(
     if frames.ndim != 2 or frames.shape[1] != HAND_FRAME_DIM:
         raise RetargetError(f"hand frames must have shape (T, {HAND_FRAME_DIM})")
     q_prev = model.mid_range()
-    first = RetargetWeights(weights.fingertip, weights.palm, 0.0)
+    first = RetargetWeights(weights.fingertip_weight, weights.palm_weight, 0.0)
     q_path = np.empty((frames.shape[0], model.dof))
     results = []
     warnings = []

@@ -10,6 +10,10 @@ Model choices, in order of importance:
 * Contacts are penalty springs (Kelvin-Voigt normal force, Coulomb-capped
   tangential anchor springs for static friction). Collision detection runs
   once per control step; penetrations are relinearized across substeps.
+* Forward kinematics runs once per simulator state: `SimWorld.fkres` is the
+  FK of the current joint vector, set on reset and refreshed once at the end
+  of each step; detection, gravity load and `collision_query` read it, and a
+  clone shares it (an `FKResult` is never modified).
 
 Everything is double precision, sequential, and bitwise deterministic.
 """
@@ -21,7 +25,7 @@ import numpy as np
 
 from .collision import segment_piece_signed
 from .demo import ObjectGeometry
-from .geometry import Pose6, Rotation3
+from .geometry import Pose6, Rotation3, cross3
 from .hand import HandModel
 
 
@@ -189,6 +193,7 @@ class SimWorld:
         self.v = np.zeros(3) if v is None else np.asarray(v, dtype=np.float64).copy()
         self.w = np.zeros(3) if w is None else np.asarray(w, dtype=np.float64).copy()
         self.step_index = 0
+        self.fkres = self.model.fk(self.q)
         self._contacts: dict[tuple, _Contact] = {}
         self._prev_prim_pts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -212,6 +217,7 @@ class SimWorld:
         other.v = self.v.copy()
         other.w = self.w.copy()
         other.step_index = self.step_index
+        other.fkres = self.fkres
         other._contacts = {
             k: _Contact(
                 c.p_obj_local.copy(), c.p_other.copy(), c.v_other.copy(), c.normal.copy(),
@@ -224,28 +230,26 @@ class SimWorld:
 
     # -- queries -------------------------------------------------------------
 
-    def _prim_world(self, fkres, idx):
+    def _prim_world(self, idx):
         link, a, b, r = self._prims[idx]
-        rot = fkres.link_rot[link]
-        pos = fkres.link_pos[link]
+        rot = self.fkres.link_rot[link]
+        pos = self.fkres.link_pos[link]
         return rot @ a + pos, rot @ b + pos, r
 
-    def collision_query(self, fkres=None) -> list[tuple[str, float, np.ndarray, np.ndarray]]:
+    def collision_query(self) -> list[tuple[str, float, np.ndarray, np.ndarray]]:
         """Signed distance from each distal-phalanx link to the object.
 
         Returns one entry per fingertip site order: (link name, distance,
         closest point on the link surface, closest point on the object), with
         negative distance meaning penetration.
         """
-        if fkres is None:
-            fkres = self.model.fk(self.q)
         pose = self.object_pose()
         inv = pose.inverse()
         out = []
         for link in self.model.distal_links:
             best = None
             for idx in self._distal_prims.get(link, []):
-                a_w, b_w, r = self._prim_world(fkres, idx)
+                a_w, b_w, r = self._prim_world(idx)
                 for pi, piece in enumerate(self.geometry.pieces):
                     d, p_prim, p_piece, _ = segment_piece_signed(
                         inv.apply(a_w), inv.apply(b_w), r, piece
@@ -264,7 +268,7 @@ class SimWorld:
 
     # -- stepping --------------------------------------------------------------
 
-    def _detect(self, fkres) -> None:
+    def _detect(self) -> None:
         cfg = self.config
         pose = self.object_pose()
         inv = pose.inverse()
@@ -272,7 +276,7 @@ class SimWorld:
         fresh: dict[tuple, _Contact] = {}
         dt = cfg.dt
         for idx in range(len(self._prims)):
-            a_w, b_w, r = self._prim_world(fkres, idx)
+            a_w, b_w, r = self._prim_world(idx)
             link = self._prims[idx][0]
             mid = 0.5 * (a_w + b_w)
             half_len = 0.5 * float(np.linalg.norm(b_w - a_w))
@@ -303,7 +307,7 @@ class SimWorld:
                 p_obj_local = inv.apply(p_piece_w)
                 old = self._contacts.get(key)
                 anchor = old.anchor if old is not None else (p_piece_w - p_prim_w)
-                jac = self.model.point_jacobian(fkres, link, p_prim_w)
+                jac = self.model.point_jacobian(self.fkres, link, p_prim_w)
                 fresh[key] = _Contact(
                     p_obj_local, p_prim_w, v_wit, n_w, -d, anchor, jac.T.copy(), link
                 )
@@ -337,9 +341,8 @@ class SimWorld:
             raise ValueError("control has non-finite entries")
         cfg = self.config
         model = self.model
-        fkres = model.fk(self.q)
-        self._detect(fkres)
-        tau_g = model.gravity_torques(fkres, cfg.gravity)
+        self._detect()
+        tau_g = model.gravity_torques(self.fkres, cfg.gravity)
         h = cfg.dt / cfg.substeps
         mass = self.geometry.mass
         contact_report: dict[tuple, ContactRecord] = {}
@@ -357,7 +360,7 @@ class SimWorld:
             for key, c in self._contacts.items():
                 p_o = self.rot.apply(c.p_obj_local - self.geometry.com) + self.com_w
                 r_vec = p_o - self.com_w
-                v_o = self.v + np.cross(self.w, r_vec)
+                v_o = self.v + cross3(self.w, r_vec)
                 v_rel = v_o - c.v_other
                 vn = float(v_rel @ c.normal)
                 if key[0] == "g":
@@ -382,7 +385,7 @@ class SimWorld:
                         c.anchor = (p_o - c.p_other) - u_new
                     f_vec = fn * c.normal + f_t
                     force += f_vec
-                    torque += np.cross(r_vec, f_vec)
+                    torque += cross3(r_vec, f_vec)
                     if c.jac_t is not None:
                         tau_react += c.jac_t @ (-f_vec)
                 if fn > 0.0:
@@ -407,17 +410,17 @@ class SimWorld:
             i_w_inv = r @ self.inertia_body_inv @ r.T
             i_w = r @ self.inertia_body @ r.T
             self.v = self.v + h * force / mass
-            self.w = self.w + h * (i_w_inv @ (torque - np.cross(self.w, i_w @ self.w)))
+            self.w = self.w + h * (i_w_inv @ (torque - cross3(self.w, i_w @ self.w)))
             self.com_w = self.com_w + h * self.v
             ang = self.w * h
             if float(ang @ ang) > 0.0:
                 self.rot = Rotation3.from_rotvec(ang).compose(self.rot)
         self.step_index += 1
+        self.fkres = model.fk(self.q)  # before the energy check, so it holds after a raise
         energy = self.kinetic_energy()
         if energy > cfg.energy_limit:
             raise SimDivergenceError(self.step_index, energy)
-        fk_post = model.fk(self.q)
-        tips = model.fingertip_positions(fk_post)
+        tips = model.fingertip_positions(self.fkres)
         hand_contact = any(k[0] == "h" for k in contact_report)
         return WorldState(
             q=self.q.copy(),

@@ -18,6 +18,7 @@ from demo2dex.adapt import (
 )
 from demo2dex.demo import ContactSet
 from demo2dex.geometry import Pose6, Rotation3
+from demo2dex.hand import HandModel
 from demo2dex.retarget import ControlPlan, fit_smooth_trajectory
 from demo2dex.simworld import SimConfig, SimWorld
 
@@ -249,8 +250,8 @@ def fake_records(tip_dists, contacts):
     return [FakeRecord(d, c) for d, c in zip(tip_dists, contacts)]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_action_ends_episode_as_divergence(toy_hand, lift_demo, bad):
+def small_env(toy_hand, lift_demo) -> GraspEnv:
+    """A ten-step episode holding toy3 at mid-range beside the resting box."""
     q0 = toy_hand.mid_range()
     q_path = np.tile(q0, (4, 1))
     plan = ControlPlan(
@@ -264,7 +265,12 @@ def test_non_finite_action_ends_episode_as_divergence(toy_hand, lift_demo, bad):
         pregrasp_step=0, goal_step=5, horizon=10, target_pose=lift_demo.object_poses[-1]
     )
     world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q0, lift_demo.object_poses[0])
-    env = GraspEnv(world, plan, episode, GUIDE_MAP, ActionRescaler(toy_hand))
+    return GraspEnv(world, plan, episode, GUIDE_MAP, ActionRescaler(toy_hand))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_action_ends_episode_as_divergence(toy_hand, lift_demo, bad):
+    env = small_env(toy_hand, lift_demo)
     env.reset()
     action = np.zeros(env.dim_act)
     action[-1] = bad
@@ -273,6 +279,26 @@ def test_non_finite_action_ends_episode_as_divergence(toy_hand, lift_demo, bad):
     assert done and info["diverged"]
     assert obs.shape == (env.dim_obs,)
     assert not env.success()
+
+
+def test_one_fk_per_env_step(toy_hand, lift_demo, monkeypatch):
+    env = small_env(toy_hand, lift_demo)
+    calls = []
+    fk = HandModel.fk
+
+    def counted_fk(self, q):
+        calls.append(q)
+        return fk(self, q)
+
+    monkeypatch.setattr(HandModel, "fk", counted_fk)
+    env.reset()
+    assert not calls  # the reset reads the start snapshot's cached kinematics
+    done, steps = False, 0
+    while not done:
+        _, _, done, _ = env.step(np.zeros(env.dim_act))
+        steps += 1
+        assert len(calls) == steps
+    assert steps == 10
 
 
 def test_select_pregrasp_nearest_keeps_earliest_on_plateau():

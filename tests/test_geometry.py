@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation as ScipyRot
 from demo2dex.geometry import (
     Pose6,
     Rotation3,
+    cross3,
     geodesic_angle,
     pose_distance,
     random_rotation,
@@ -93,6 +94,18 @@ def test_apply_preserves_length_and_handedness():
     assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(pts, axis=1))
     a, b = pts[0], pts[1]
     assert np.allclose(r.apply(np.cross(a, b)), np.cross(r.apply(a), r.apply(b)), atol=1e-9)
+
+
+vec3 = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)
+
+
+@given(vec3, vec3)
+@settings(max_examples=500, deadline=None)
+def test_cross3_is_bitwise_np_cross(a, b):
+    a, b = np.array(a), np.array(b)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow in both
+        want = np.cross(a, b)
+    assert cross3(a, b).tobytes() == want.tobytes()
 
 
 def test_unit_vector_angle():

@@ -66,6 +66,49 @@ def test_palm_normal_jacobian_matches_finite_differences(hand_name):
             assert np.max(np.abs(dn[:, k] - fd)) < 1e-5
 
 
+def reference_point_jacobian(model, fk, link, p):
+    """Per-joint `np.cross` loop: the chain jacobian column by column."""
+    jac = np.zeros((3, model.dof))
+    for ji in model.chain_of(link):
+        if model.joints[ji].jtype == "revolute":
+            jac[:, ji] = np.cross(fk.joint_axis_w[ji], p - fk.joint_pos_w[ji])
+        else:
+            jac[:, ji] = fk.joint_axis_w[ji]
+    return jac
+
+
+def reference_palm_normal_jacobian(model, fk):
+    """Palm normal and its jacobian from batched `np.cross` calls."""
+    p_i, p_r, p_w = (fk.site_pos[s.name] for s in model.palm_sites)
+    j_i, j_r, j_w = (
+        reference_point_jacobian(model, fk, s.link, fk.site_pos[s.name]) for s in model.palm_sites
+    )
+    e1, e2 = p_i - p_w, p_r - p_w
+    de1, de2 = j_i - j_w, j_r - j_w
+    u = np.cross(e1, e2)
+    norm_u = np.linalg.norm(u)
+    du = np.cross(de1.T, e2).T + np.cross(e1, de2.T).T
+    n_hat = u / norm_u
+    dn = (np.eye(3) - np.outer(n_hat, n_hat)) @ du / norm_u
+    return model.palm_normal_sign * n_hat, model.palm_normal_sign * dn
+
+
+@pytest.mark.parametrize("hand_name", BUNDLED_HANDS)
+def test_jacobians_bitwise_equal_np_cross_reference(hand_name):
+    model, _ = resolve_hand(hand_name)
+    for _ in range(10):
+        q = model.limits_lo + RNG.random(model.dof) * (model.limits_hi - model.limits_lo)
+        fk = model.fk(q)
+        for link in model.links:
+            p = RNG.normal(scale=0.2, size=3)
+            want = reference_point_jacobian(model, fk, link, p)
+            assert np.array_equal(model.point_jacobian(fk, link, p), want), link
+        n, dn = model.palm_normal_jacobian(fk)
+        n_ref, dn_ref = reference_palm_normal_jacobian(model, fk)
+        assert np.array_equal(n, n_ref)
+        assert np.array_equal(dn, dn_ref)
+
+
 def test_wrist_pose_round_trip(toy_hand):
     for _ in range(100):
         pose = Pose6(RNG.uniform(-0.5, 0.5, 3), random_rotation(RNG))

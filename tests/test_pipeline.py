@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from demo2dex import pipeline
 from demo2dex.jsonio import dump_json, load_json
 from demo2dex.pipeline import evaluate_run, run_transfer
 
@@ -82,9 +83,26 @@ def test_stale_metrics_behind_a_matching_manifest_are_recomputed(toy3_config, to
     )
 
 
-def test_misspelled_config_key_raises(toy3_config, tmp_path):
-    # each config section goes straight to the parameters of its owner
-    config = copy.deepcopy(toy3_config)
-    config["rescale"]["delta_mx"] = config["rescale"].pop("delta_max")
-    with pytest.raises(TypeError, match="delta_mx"):
-        run_transfer(config, tmp_path, no_rl=True)
+def test_misspelled_config_key_raises(toy3_config, tmp_path, monkeypatch):
+    # each config section is checked against the parameters of its owner
+    # before any stage runs, so no misspelled key costs a retargeting pass
+    def no_retarget(*args, **kwargs):
+        raise AssertionError("retargeting ran before the config was checked")
+
+    monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
+    for section, key in [
+        ("sim", "friction_mu"),
+        ("rescale", "delta_max"),
+        ("reward", "epsilon"),
+        ("retarget", "palm_weight"),
+        ("metrics", "hold_steps"),
+        ("episode", "grace_steps"),
+        ("pregrasp", "threshold"),
+        ("rl", "total_steps"),
+    ]:
+        config = copy.deepcopy(toy3_config)
+        typo = key[:-1]
+        config[section][typo] = config[section].pop(key)
+        error = ValueError if section == "rl" else TypeError
+        with pytest.raises(error, match=typo):
+            run_transfer(config, tmp_path, no_rl=True)

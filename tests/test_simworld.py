@@ -6,7 +6,7 @@ import pytest
 from demo2dex.collision import ConvexPiece
 from demo2dex.demo import ObjectGeometry
 from demo2dex.geometry import Pose6, Rotation3
-from demo2dex.hand import hand_from_dict
+from demo2dex.hand import FKResult, hand_from_dict
 from demo2dex.simworld import SimConfig, SimDivergenceError, SimWorld, _body_inertia, replay
 from demo2dex.synthetic import WRIST_GRASP
 
@@ -155,12 +155,26 @@ def test_step_determinism_and_clone():
     assert np.array_equal(s_clone.qdot, s1.qdot)
 
 
+def assert_fk_cached(world):
+    """The world's cached kinematics are those of its joint vector, field by field."""
+    want = world.model.fk(world.q)
+    for name in FKResult.__slots__:
+        got, ref = getattr(world.fkres, name), getattr(want, name)
+        if isinstance(ref, dict):
+            assert got.keys() == ref.keys(), name
+            for key in ref:
+                assert np.array_equal(got[key], ref[key]), (name, key)
+        else:
+            assert np.array_equal(got, ref), name
+
+
 def test_energy_guard_raises():
     world = far_hand_world(box_geometry())
     world.reset(world.q, Pose6(np.array([0.0, 0.0, 5.0]), Rotation3.identity()),
                 v=np.array([200.0, 0.0, 0.0]))
     with pytest.raises(SimDivergenceError):
-        world.step(world.q)
+        world.step(world.q + 0.05)
+    assert_fk_cached(world)
 
 
 def test_pd_servo_tracks_joint_targets():
@@ -210,13 +224,36 @@ def assert_same_state(got, want):
     assert got.hand_contact == want.hand_contact
 
 
-def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
-    # toy3 at the recorded grasp pose closes its fingers on the resting box
+def closing_controls(toy_hand) -> np.ndarray:
+    """toy3 at the recorded grasp pose closes its fingers on the resting box."""
     q_open = np.zeros(toy_hand.dof)
     q_open[:3] = WRIST_GRASP
     q_shut = q_open.copy()
     q_shut[6:] = 0.6
-    controls = np.linspace(q_open, q_shut, 40)
+    return np.linspace(q_open, q_shut, 40)
+
+
+def test_cached_fk_follows_the_joint_vector(toy_hand, lift_demo):
+    controls = closing_controls(toy_hand)
+    obj0 = lift_demo.object_poses[0]
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), controls[-1], obj0)
+    world.step(controls[-1])
+    world.reset(controls[0], obj0)
+    assert_fk_cached(world)
+    states, starts = replay(world, controls)
+    assert any(s.hand_contact for s in states)
+    for snap in [*starts, world]:  # the world after each step, and after the last
+        assert_fk_cached(snap)
+    clone = world.clone()
+    assert clone.fkres is world.fkres
+    world.step(controls[0])
+    assert_fk_cached(clone)  # stepping the original leaves the clone's cache alone
+    assert_fk_cached(world)
+
+
+def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
+    controls = closing_controls(toy_hand)
+    q_open = controls[0]
     obj0 = lift_demo.object_poses[0]
     world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q_open, obj0)
     states, starts = replay(world, controls)
