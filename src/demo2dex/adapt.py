@@ -17,6 +17,7 @@ import numpy as np
 from .demo import ContactSet, DemoSequence
 from .geometry import Pose6, geodesic_angle
 from .hand import HandModel
+from .metrics import SUCCESS_RADIUS
 from .retarget import ControlPlan
 from .simworld import SimDivergenceError, SimWorld, WorldState
 
@@ -24,7 +25,6 @@ DELTA_MAX = 0.2  # residual clamp, normalized units
 WRIST_RHO_DEFAULT = (0.05, 0.05, 0.05, 0.3, 0.3, 0.3)
 GRACE_STEPS = 60
 GOAL_DEVIATION = 0.1  # m; object displacement that marks the manipulation goal
-SUCCESS_RADIUS = 0.05  # m at the horizon
 DIVERGENCE_PENALTY = -10.0
 
 
@@ -318,7 +318,6 @@ class GraspEnv:
         consts: RewardConstants = RewardConstants(),
     ):
         self._proto = world_at_pregrasp
-        self.plan = plan
         self.episode = episode
         self.mapped = mapped
         self.rescaler = rescaler

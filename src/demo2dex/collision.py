@@ -13,6 +13,9 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 
+GJK_MAX_ITER = 64  # GJK iterations before the current witness pair is returned
+
+
 class GeometryError(ValueError):
     pass
 
@@ -47,7 +50,9 @@ def _cross(u, v):
 class ConvexPiece:
     """One convex component of an object, in the object's local frame."""
 
-    __slots__ = ("vertices", "verts_t", "face_n", "face_b", "centroid", "bound_radius", "volume")
+    __slots__ = (
+        "vertices", "verts_t", "simplices", "face_n", "face_b", "centroid", "bound_radius", "volume",
+    )
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=np.float64)
@@ -61,6 +66,7 @@ class ConvexPiece:
             raise GeometryError(f"degenerate convex piece (qhull: {exc})") from exc
         self.vertices = v
         self.verts_t = [tuple(p) for p in v]
+        self.simplices = hull.simplices  # (F, 3) vertex indices of the hull's triangles
         # outward faces: n . x <= b
         self.face_n = hull.equations[:, :3].copy()
         self.face_b = -hull.equations[:, 3].copy()
@@ -182,7 +188,7 @@ def _origin_in_tetra(pts):
     )
 
 
-def gjk_segment_convex(seg_a, seg_b, piece: ConvexPiece, max_iter: int = 64):
+def gjk_segment_convex(seg_a, seg_b, piece: ConvexPiece):
     """Distance between segment [a, b] and a convex piece, with witness points.
 
     Returns (distance, point_on_segment, point_on_piece); distance is 0.0 when
@@ -203,7 +209,7 @@ def gjk_segment_convex(seg_a, seg_b, piece: ConvexPiece, max_iter: int = 64):
     w, pa, pb = support(d0)
     simplex = [(w, pa, pb)]
     v = w
-    for _ in range(max_iter):
+    for _ in range(GJK_MAX_ITER):
         vv = _dot(v, v)
         if vv < 1e-22:
             return 0.0, np.array(pa), np.array(pb)

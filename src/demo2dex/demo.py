@@ -24,7 +24,7 @@ from .geometry import Pose6, Rotation3
 from .retarget import HAND_FRAME_DIM
 
 CONTACT_THRESHOLD = 0.05  # fingertips closer than this to the surface count as contacts
-COM_LOWER_FRACTION = 0.2  # default fraction of bounding-box height to lower the COM
+COM_LOWER_FRACTION = 0.2  # fraction of bounding-box height to lower the COM
 
 
 class DemoError(ValueError):
@@ -57,7 +57,7 @@ class DemoSequence:
         return np.array([p.pos for p in self.object_poses])
 
 
-def preprocess_object(pieces_raw, com, mass, lower_fraction: float = COM_LOWER_FRACTION) -> ObjectGeometry:
+def preprocess_object(pieces_raw, com, mass) -> ObjectGeometry:
     """Validate convex pieces and lower the center of mass.
 
     Lowering the COM along world -z by a fraction of the bounding-box height
@@ -68,8 +68,6 @@ def preprocess_object(pieces_raw, com, mass, lower_fraction: float = COM_LOWER_F
         raise DemoError("object mass must be positive")
     if not pieces_raw:
         raise DemoError("object geometry needs at least one convex piece")
-    if not 0.0 <= lower_fraction < 1.0:
-        raise DemoError("COM lowering fraction must be in [0, 1)")
     pieces = []
     for i, verts in enumerate(pieces_raw):
         try:
@@ -86,11 +84,11 @@ def preprocess_object(pieces_raw, com, mass, lower_fraction: float = COM_LOWER_F
         raise DemoError("object com must be a 3-vector")
     geom = ObjectGeometry(pieces=pieces, com=com.copy(), mass=float(mass))
     lo, hi = geom.bbox()
-    geom.com = geom.com - np.array([0.0, 0.0, lower_fraction * (hi[2] - lo[2])])
+    geom.com = geom.com - np.array([0.0, 0.0, COM_LOWER_FRACTION * (hi[2] - lo[2])])
     return geom
 
 
-def demo_from_dict(data: dict, lower_fraction: float = COM_LOWER_FRACTION) -> DemoSequence:
+def demo_from_dict(data: dict) -> DemoSequence:
     try:
         fps = float(data["fps"])
         frames = data["frames"]
@@ -123,13 +121,13 @@ def demo_from_dict(data: dict, lower_fraction: float = COM_LOWER_FRACTION) -> De
         hand[t] = h
         poses.append(Pose6(pos, Rotation3(quat)))
     geometry = preprocess_object(
-        geo.get("pieces", []), geo.get("com", [0.0, 0.0, 0.0]), geo.get("mass", 0.0), lower_fraction
+        geo.get("pieces", []), geo.get("com", [0.0, 0.0, 0.0]), geo.get("mass", 0.0)
     )
     return DemoSequence(fps=fps, hand=hand, object_poses=poses, geometry=geometry)
 
 
-def load_demo(path, lower_fraction: float = COM_LOWER_FRACTION) -> DemoSequence:
-    return demo_from_dict(json.loads(Path(path).read_text()), lower_fraction)
+def load_demo(path) -> DemoSequence:
+    return demo_from_dict(json.loads(Path(path).read_text()))
 
 
 # -- contact extraction -----------------------------------------------------------
@@ -141,11 +139,6 @@ class ContactSet:
 
     points: np.ndarray  # (N, 3)
     finger_ids: tuple[int, ...]  # recorded-hand finger index per point
-    frame: int  # demo frame the contacts were read from
-
-    @property
-    def count(self) -> int:
-        return len(self.finger_ids)
 
 
 def summed_tip_distances(demo: DemoSequence) -> np.ndarray:
@@ -162,17 +155,14 @@ def summed_tip_distances(demo: DemoSequence) -> np.ndarray:
     return out
 
 
-def extract_contacts(demo: DemoSequence, grasp_frame: int | None = None) -> ContactSet:
+def extract_contacts(demo: DemoSequence) -> ContactSet:
     """Project close fingertips onto the object surface at the grasp frame.
 
-    The grasp frame defaults to the frame with the smallest summed
+    The grasp frame is the frame with the smallest summed
     fingertip-to-surface distance. Fingertips farther than the contact
     threshold are dropped; a grasp needs between two and five contacts.
     """
-    if grasp_frame is None:
-        grasp_frame = int(np.argmin(summed_tip_distances(demo)))
-    if not 0 <= grasp_frame < demo.length:
-        raise DemoError(f"grasp frame {grasp_frame} out of range")
+    grasp_frame = int(np.argmin(summed_tip_distances(demo)))
     tips = demo.hand[grasp_frame, :15].reshape(5, 3)
     inv = demo.object_poses[grasp_frame].inverse()
     points = []
@@ -188,4 +178,4 @@ def extract_contacts(demo: DemoSequence, grasp_frame: int | None = None) -> Cont
             f"only {len(ids)} fingertip(s) within {CONTACT_THRESHOLD} m of the object "
             f"at frame {grasp_frame}; need at least two contacts"
         )
-    return ContactSet(points=np.array(points), finger_ids=tuple(ids), frame=grasp_frame)
+    return ContactSet(points=np.array(points), finger_ids=tuple(ids))

@@ -35,10 +35,6 @@ class Rotation3:
         return Rotation3(np.array([1.0, 0.0, 0.0, 0.0]), normalize=False)
 
     @staticmethod
-    def from_quat(wxyz) -> "Rotation3":
-        return Rotation3(wxyz)
-
-    @staticmethod
     def from_axis_angle(axis, angle: float) -> "Rotation3":
         axis = np.asarray(axis, dtype=np.float64)
         n = np.linalg.norm(axis)
@@ -85,9 +81,6 @@ class Rotation3:
         return Rotation3(q)
 
     # conversions
-
-    def as_quat(self) -> np.ndarray:
-        return self.q.copy()
 
     def as_matrix(self) -> np.ndarray:
         w, x, y, z = self.q

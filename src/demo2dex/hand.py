@@ -107,6 +107,8 @@ class HandModel:
     def _validate(self) -> None:
         if len(self.palm_sites) != 3:
             raise HandModelError("exactly three palm sites are required (index MCP, ring MCP, wrist)")
+        if self.palm_normal_sign not in (1.0, -1.0):
+            raise HandModelError("palm_normal_sign must be 1 or -1")
         seen_children: set[str] = set()
         known_links = set(self.links)
         parent_of: dict[str, str] = {}
@@ -158,7 +160,6 @@ class HandModel:
                 )
 
     def _build_tables(self) -> None:
-        self.joint_index = {j.name: i for i, j in enumerate(self.joints)}
         self.limits_lo = np.array([j.limits[0] for j in self.joints])
         self.limits_hi = np.array([j.limits[1] for j in self.joints])
         # precompute per-joint constants for Rodrigues' formula
@@ -258,14 +259,7 @@ class HandModel:
         Orientation of the raw cross product is arbitrary; the model file fixes
         the sign so the normal points out of the palm surface.
         """
-        p_index = fkres.site_pos[self.palm_sites[0].name]
-        p_ring = fkres.site_pos[self.palm_sites[1].name]
-        p_wrist = fkres.site_pos[self.palm_sites[2].name]
-        u = cross3(p_index - p_wrist, p_ring - p_wrist)
-        n = np.linalg.norm(u)
-        if n < 1e-12:
-            raise HandModelError("palm sites are collinear; palm plane is undefined")
-        return self.palm_normal_sign * u / n
+        return self.palm_normal_jacobian(fkres)[0]
 
     def palm_normal_jacobian(self, fkres: FKResult) -> tuple[np.ndarray, np.ndarray]:
         """(normal, d(normal)/dq with shape (3, D))."""

@@ -13,15 +13,14 @@ import numpy as np
 
 from .geometry import Pose6, geodesic_angle, unit_vector_angle
 
-# semantic encoding defaults
+# semantic encoding
 WINDOW = 10  # frames per window
 STEP = 5  # frames between window starts
 POS_THRESHOLD = 0.03  # m of displacement that counts as motion
-TILT_THRESHOLD_DEG = 15.0
-ZROT_THRESHOLD_DEG = 5.0
+TILT_THRESHOLD_DEG = 15.0  # degrees of z-axis tilt that count as a tilt
+ZROT_THRESHOLD_DEG = 5.0  # degrees of rotation about z that count as a rotation
 
 MOTIONLESS, LIFT, FALL, TRANSLATE, TILT, ROTATE = 0, 1, 2, 3, 4, 5
-LABEL_NAMES = {0: "motionless", 1: "lift", 2: "fall", 3: "translate", 4: "tilt", 5: "rotate"}
 
 TSR_THRESHOLD = 0.3
 HOLD_STEPS = 60  # 0.5 s at 120 Hz
@@ -84,40 +83,33 @@ def sr_grasp(
 # -- semantic encoding ------------------------------------------------------------
 
 
-def _window_label(start: Pose6, end: Pose6, pos_thresh: float, tilt_deg: float, zrot_deg: float) -> int:
+def _window_label(start: Pose6, end: Pose6) -> int:
     dpos = end.pos - start.pos
     dz = float(dpos[2])
     dxy = float(np.linalg.norm(dpos[:2]))
-    if abs(dz) >= pos_thresh and abs(dz) >= dxy:
+    if abs(dz) >= POS_THRESHOLD and abs(dz) >= dxy:
         return LIFT if dz > 0 else FALL
-    if float(np.linalg.norm(dpos)) >= pos_thresh:
+    if float(np.linalg.norm(dpos)) >= POS_THRESHOLD:
         return TRANSLATE
     ez = np.array([0.0, 0.0, 1.0])
     tilt = np.degrees(unit_vector_angle(start.rot.apply(ez), end.rot.apply(ez)))
-    if tilt >= tilt_deg:
+    if tilt >= TILT_THRESHOLD_DEG:
         return TILT
     rel = end.rot @ start.rot.inverse()
     zrot = abs(np.degrees(float(rel.as_rotvec()[2])))
-    if zrot >= zrot_deg:
+    if zrot >= ZROT_THRESHOLD_DEG:
         return ROTATE
     return MOTIONLESS
 
 
-def encode_semantics(
-    poses: list[Pose6],
-    window: int = WINDOW,
-    step: int = STEP,
-    pos_thresh: float = POS_THRESHOLD,
-    tilt_deg: float = TILT_THRESHOLD_DEG,
-    zrot_deg: float = ZROT_THRESHOLD_DEG,
-) -> list[int]:
+def encode_semantics(poses: list[Pose6]) -> list[int]:
     """Label string for a pose series: windowed motion classes, idle dropped,
     consecutive repeats collapsed."""
     labels = []
     i = 0
-    while i + window <= len(poses):
-        labels.append(_window_label(poses[i], poses[i + window - 1], pos_thresh, tilt_deg, zrot_deg))
-        i += step
+    while i + WINDOW <= len(poses):
+        labels.append(_window_label(poses[i], poses[i + WINDOW - 1]))
+        i += STEP
     out: list[int] = []
     for lab in labels:
         if lab == MOTIONLESS:

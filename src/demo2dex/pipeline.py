@@ -64,6 +64,13 @@ from .wrist import DROP_STEPS, WristPlanError, plan_wrist, track_manipulation
 VERSION = "0.1.0"
 log = logging.getLogger("demo2dex")
 
+# the top-level keys of a config: the run's name, inputs and defaults, then the
+# sections that `run_transfer` hands to their owners
+CONFIG_KEYS = frozenset({
+    "name", "hand", "demo", "seed", "control_frequency",
+    "sim", "rescale", "reward", "retarget", "metrics", "rl", "episode", "pregrasp",
+})
+
 
 class PipelineError(RuntimeError):
     pass
@@ -187,6 +194,9 @@ def run_transfer(
     no_rl: bool = False,
     force: bool = False,
 ) -> RunResult:
+    unknown = sorted(config.keys() - CONFIG_KEYS)
+    if unknown:
+        raise TypeError(f"unknown config key(s): {', '.join(unknown)}")
     cfg = dict(config)
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     hand_path = _locate("hands", cfg["hand"])
@@ -229,7 +239,7 @@ def run_transfer(
     consts = RewardConstants(**cfg.get("reward", {}))
     weights = RetargetWeights(**cfg.get("retarget", {}))
     m_cfg = MetricsConfig(**cfg.get("metrics", {}))
-    tr_cfg = TrainConfig.from_dict(cfg.get("rl", {}))
+    tr_cfg = TrainConfig(**cfg.get("rl", {}))
     episode_kw = _keyword_section(cfg, "episode", build_episode)
     pregrasp_kw = _keyword_section(cfg, "pregrasp", select_pregrasp)
     run_dir.mkdir(parents=True, exist_ok=True)

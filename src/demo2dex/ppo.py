@@ -37,14 +37,8 @@ class TrainConfig:
     eval_every: int = 4  # updates between deterministic evaluations
     early_stop: int = 3  # consecutive eval successes that end training
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        cfg = TrainConfig()
-        for k, v in d.items():
-            if not hasattr(cfg, k):
-                raise ValueError(f"unknown rl config key '{k}'")
-            setattr(cfg, k, tuple(v) if k == "hidden" else v)
-        return cfg
+    def __post_init__(self):
+        self.hidden = tuple(self.hidden)  # a JSON config gives a list
 
 
 class RunningNorm:

@@ -26,6 +26,10 @@ from .spline import JerkMinSpline
 
 HAND_FRAME_DIM = 18  # five fingertips (15) plus palm normal (3)
 HUMAN_FINGERS = 5
+MAX_ITER = 200  # L-BFGS-B iterations per solve
+GRAD_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance
+RESTARTS = 2  # random restarts allowed per frame after the warm-started solve
+RESTART_THRESHOLD = 3e-3  # m of mean tip error above which a frame is restarted
 
 
 class RetargetError(ValueError):
@@ -54,7 +58,6 @@ class FrameResult:
     objective: float
     converged: bool
     mean_tip_error: float
-    iterations: int
 
 
 def split_hand_frame(h):
@@ -115,10 +118,6 @@ def retarget_frame(
     h_frame,
     q_prev,
     weights: RetargetWeights = RetargetWeights(),
-    max_iter: int = 200,
-    grad_tol: float = 1e-8,
-    restarts: int = 2,
-    restart_threshold: float = 3e-3,
 ) -> FrameResult:
     """Solve one frame. `q_prev` is both the warm start and the smoothing anchor."""
     tips, normal_h = split_hand_frame(h_frame)
@@ -139,7 +138,7 @@ def retarget_frame(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": max_iter, "ftol": 1e-16, "gtol": grad_tol, "maxfun": 4000},
+            options={"maxiter": MAX_ITER, "ftol": 1e-16, "gtol": GRAD_TOL, "maxfun": 4000},
         )
         _, _, tip_err = _objective_terms(model, res.x, targets, normal_h, q_prev, weights)
         return FrameResult(
@@ -147,12 +146,11 @@ def retarget_frame(
             objective=float(res.fun),
             converged=bool(res.success) or res.status == 1,
             mean_tip_error=tip_err,
-            iterations=int(res.nit),
         )
 
     best = solve_from(q_prev)
     attempt = 0
-    while best.mean_tip_error > restart_threshold and attempt < restarts:
+    while best.mean_tip_error > RESTART_THRESHOLD and attempt < RESTARTS:
         # deterministic restart seeded by the target content and attempt index
         digest = hashlib.sha256(np.ascontiguousarray(h_frame).tobytes() + bytes([attempt])).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
@@ -175,7 +173,6 @@ def retarget_sequence(
     model: HandModel,
     hand_frames,
     weights: RetargetWeights = RetargetWeights(),
-    **frame_kwargs,
 ) -> SequenceResult:
     """Frame-by-frame solve with warm starting.
 
@@ -192,7 +189,7 @@ def retarget_sequence(
     warnings = []
     for t in range(frames.shape[0]):
         w_t = first if t == 0 else weights
-        res = retarget_frame(model, frames[t], q_prev, w_t, **frame_kwargs)
+        res = retarget_frame(model, frames[t], q_prev, w_t)
         if not res.converged:
             warnings.append(f"frame {t}: solver stopped before convergence")
         q_path[t] = res.q

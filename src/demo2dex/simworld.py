@@ -121,8 +121,6 @@ def _body_inertia(geometry: ObjectGeometry) -> np.ndarray:
     from the volume centroid (it is lowered on ingest); the parallel-axis
     shift keeps the tensor consistent with rotations about that point.
     """
-    from scipy.spatial import ConvexHull
-
     total_vol = sum(p.volume for p in geometry.pieces)
     if total_vol <= 0:
         raise ValueError("object has zero volume")
@@ -130,9 +128,8 @@ def _body_inertia(geometry: ObjectGeometry) -> np.ndarray:
     c_second = np.zeros((3, 3))  # integral of x x^T dV about the origin
     vol_centroid = np.zeros(3)
     for piece in geometry.pieces:
-        hull = ConvexHull(piece.vertices)
         apex = piece.vertices.mean(axis=0)
-        for simplex in hull.simplices:
+        for simplex in piece.simplices:
             tri = piece.vertices[simplex]
             verts = np.vstack([apex, tri])
             vol = abs(np.linalg.det(tri - apex)) / 6.0
@@ -185,9 +182,9 @@ class SimWorld:
 
     # -- state management ---------------------------------------------------
 
-    def reset(self, q, object_pose: Pose6, qdot=None, v=None, w=None) -> None:
+    def reset(self, q, object_pose: Pose6, v=None, w=None) -> None:
         self.q = self.model.clamp(np.asarray(q, dtype=np.float64).copy())
-        self.qdot = np.zeros(self.model.dof) if qdot is None else np.asarray(qdot, dtype=np.float64).copy()
+        self.qdot = np.zeros(self.model.dof)
         self.rot = object_pose.rot
         self.com_w = object_pose.pos + object_pose.rot.apply(self.geometry.com)
         self.v = np.zeros(3) if v is None else np.asarray(v, dtype=np.float64).copy()

@@ -354,8 +354,8 @@ def _wrist_at(t: int) -> np.ndarray:
     return p
 
 
-def _finger_close_angle(model, gap: float = CLOSE_GAP) -> float:
-    """Flexion angle at which the distal capsules stop `gap` short of the box.
+def _finger_close_angle(model) -> float:
+    """Flexion angle at which the distal capsules stop CLOSE_GAP short of the box.
 
     Solved against the real collision distance so the recorded pre-close is
     contact-free by construction, whatever the capsule geometry.
@@ -378,7 +378,7 @@ def _finger_close_angle(model, gap: float = CLOSE_GAP) -> float:
                 b = rot @ np.asarray(prim.b if prim.b is not None else prim.a) + pos
                 d, _, _, _ = segment_piece_signed(a, b, prim.radius, piece)
                 dmin = min(dmin, d)
-        return dmin - gap
+        return dmin - CLOSE_GAP
 
     lo, hi = 0.0, 0.6
     if clearance(lo) <= 0.0:

@@ -167,7 +167,6 @@ def test_map_contacts_resolves_fingers(toy_hand):
     cs = ContactSet(
         points=np.array([[0.03, 0.0, 0.0], [-0.03, 0.0, 0.0]]),
         finger_ids=(0, 1),
-        frame=100,
     )
     mapped = map_contacts(cs, toy_hand)
     assert len(mapped) == 2
@@ -179,7 +178,7 @@ def test_map_contacts_resolves_fingers(toy_hand):
 
 
 def test_map_contacts_rejects_unmapped_finger(toy_hand):
-    cs = ContactSet(points=np.zeros((1, 3)), finger_ids=(4,), frame=0)
+    cs = ContactSet(points=np.zeros((1, 3)), finger_ids=(4,))
     if 4 not in toy_hand.correspondence:
         with pytest.raises(AdaptError):
             map_contacts(cs, toy_hand)

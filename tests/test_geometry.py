@@ -70,7 +70,7 @@ def test_against_scipy_rotations():
     for _ in range(300):
         wxyz = RNG.normal(size=4)
         r = Rotation3(wxyz)
-        s = ScipyRot.from_quat(np.roll(r.as_quat(), -1))  # scipy wants xyzw
+        s = ScipyRot.from_quat(np.roll(r.q, -1))  # scipy wants xyzw
         assert np.allclose(r.as_matrix(), s.as_matrix(), atol=1e-12)
         p = RNG.normal(size=3)
         assert np.allclose(r.apply(p), s.apply(p), atol=1e-12)

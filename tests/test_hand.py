@@ -195,6 +195,11 @@ def test_malformed_hand_rejected():
     with pytest.raises(HandModelError):
         hand_from_dict(swapped)
 
+    scaled = planar_hand_dict()
+    scaled["palm_normal_sign"] = 2.0  # the palm normal must stay a unit vector
+    with pytest.raises(HandModelError):
+        hand_from_dict(scaled)
+
 
 def test_gravity_torques_zero_for_massless(planar_hand):
     fk = planar_hand.fk(planar_hand.mid_range())

@@ -5,12 +5,13 @@ The run is the `toy3_run` fixture of conftest.py.
 """
 import copy
 import shutil
+from pathlib import Path
 
 import pytest
 
 from demo2dex import pipeline
 from demo2dex.jsonio import dump_json, load_json
-from demo2dex.pipeline import evaluate_run, run_transfer
+from demo2dex.pipeline import evaluate_run, run_sweep, run_transfer
 
 # metrics of the toy3 --no-rl run, recorded from the implementation this
 # test was written against; any change to them is a change of behaviour
@@ -84,8 +85,9 @@ def test_stale_metrics_behind_a_matching_manifest_are_recomputed(toy3_config, to
 
 
 def test_misspelled_config_key_raises(toy3_config, tmp_path, monkeypatch):
-    # each config section is checked against the parameters of its owner
-    # before any stage runs, so no misspelled key costs a retargeting pass
+    # the top-level keys, and each config section against the parameters of
+    # its owner, are checked before any stage runs, so no misspelled key costs
+    # a retargeting pass or silently falls back to a default
     def no_retarget(*args, **kwargs):
         raise AssertionError("retargeting ran before the config was checked")
 
@@ -103,6 +105,19 @@ def test_misspelled_config_key_raises(toy3_config, tmp_path, monkeypatch):
         config = copy.deepcopy(toy3_config)
         typo = key[:-1]
         config[section][typo] = config[section].pop(key)
-        error = ValueError if section == "rl" else TypeError
-        with pytest.raises(error, match=typo):
+        with pytest.raises(TypeError, match=typo):
             run_transfer(config, tmp_path, no_rl=True)
+    for key, typo in [("sim", "simm"), ("control_frequency", "control_frequncy")]:
+        config = copy.deepcopy(toy3_config)
+        config[typo] = config.pop(key)
+        with pytest.raises(TypeError, match=typo):
+            run_transfer(config, tmp_path, no_rl=True)
+
+
+def test_parallel_sweep_matches_the_serial_run(toy3_config, toy3_run, tmp_path):
+    rows = run_sweep(toy3_config, tmp_path, [0, 1], no_rl=True, workers=2)
+    assert [(r["seed"], r["cached"]) for r in rows] == [(0, False), (1, False)]
+    seed0 = Path(rows[0]["run_dir"])
+    assert sorted(p.name for p in seed0.iterdir()) == sorted(p.name for p in toy3_run.run_dir.iterdir())
+    for p in seed0.iterdir():
+        assert p.read_bytes() == (toy3_run.run_dir / p.name).read_bytes(), p.name

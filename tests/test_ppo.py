@@ -267,5 +267,6 @@ class TestRunEpisode:
 
 
 def test_train_config_rejects_unknown_key():
-    with pytest.raises(ValueError):
-        TrainConfig.from_dict({"warp_speed": 9})
+    with pytest.raises(TypeError):
+        TrainConfig(warp_speed=9)
+    assert TrainConfig(hidden=[8, 8]).hidden == (8, 8)  # a JSON list becomes a tuple
