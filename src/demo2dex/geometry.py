@@ -5,28 +5,35 @@ translation plus a rotation. Everything is float64 numpy and deterministic.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = 1e-12
 
 
 class Rotation3:
-    """A 3D rotation backed by a unit quaternion (w, x, y, z)."""
+    """A 3D rotation backed by a unit quaternion (w, x, y, z).
 
-    __slots__ = ("q",)
+    Immutable: `q` is a read-only copy, and the matrix is computed on first
+    use and kept, read-only, for every later `as_matrix` and `apply`.
+    """
+
+    __slots__ = ("q", "_m")
 
     def __init__(self, wxyz, normalize: bool = True):
         q = np.asarray(wxyz, dtype=np.float64)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not all(map(math.isfinite, q.tolist())):
             raise ValueError("quaternion has non-finite entries")
-        n = float(np.linalg.norm(q))
+        n = math.sqrt(q.dot(q))  # np.linalg.norm's own arithmetic for a 1-D array
         if n < 1e-8:
             raise ValueError("quaternion norm too small to normalize")
-        if normalize:
-            q = q / n
+        q = q / n if normalize else q.copy()  # never the caller's array, which stays writable
+        q.flags.writeable = False
         self.q = q
+        self._m = None
 
     # constructors
 
@@ -37,7 +44,7 @@ class Rotation3:
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Rotation3":
         axis = np.asarray(axis, dtype=np.float64)
-        n = np.linalg.norm(axis)
+        n = math.sqrt(axis.dot(axis))
         if n < _EPS:
             raise ValueError("axis must be nonzero")
         half = 0.5 * float(angle)
@@ -48,7 +55,7 @@ class Rotation3:
     @staticmethod
     def from_rotvec(v) -> "Rotation3":
         v = np.asarray(v, dtype=np.float64)
-        angle = float(np.linalg.norm(v))
+        angle = math.sqrt(v.dot(v))
         if angle < 1e-14:
             # second-order series keeps the map smooth through zero
             q = np.concatenate(([1.0 - angle * angle / 8.0], 0.5 * v))
@@ -83,17 +90,22 @@ class Rotation3:
     # conversions
 
     def as_matrix(self) -> np.ndarray:
+        if self._m is not None:
+            return self._m
         w, x, y, z = self.q
         xx, yy, zz = x * x, y * y, z * z
         wx, wy, wz = w * x, w * y, w * z
         xy, xz, yz = x * y, x * z, y * z
-        return np.array(
+        m = np.array(
             [
                 [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
                 [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
                 [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
             ]
         )
+        m.flags.writeable = False
+        self._m = m
+        return m
 
     def as_rotvec(self) -> np.ndarray:
         w, x, y, z = self.q

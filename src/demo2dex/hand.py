@@ -4,10 +4,24 @@ A hand is a rigid-link tree rooted at the wrist. Floating-base hands prepend
 six virtual joints (three prismatic, three revolute) so the wrist pose lives
 in the same joint vector as the fingers: q[:3] is wrist translation in meters,
 q[3:6] wrist rotation in radians, the rest finger angles.
+
+Results are bitwise reproducible, and the fast paths keep them bitwise equal
+to the plain per-joint formulas. `site_jacobians` and `point_jacobian` are
+elementwise: each entry is the same products and differences, in the same
+order, that `np.cross` computes. In `fk`, the Rodrigues matrix is built from
+Python floats in numpy's order, `(I + s K) + (1 - c) K^2`, and a product by an
+identity origin rotation or a zero origin offset is skipped. The skipped
+rotation product is the parent frame plus 0.0, which turns -0.0 into 0.0 as
+the matmul's zero-started sum does; a link position is never -0.0, so a zero
+offset adds nothing. Every other product stays a numpy matmul, one per joint
+or one stacked over joints or sites, which makes the same BLAS call per item:
+a 3x3 product written out in Python sums in a different order than BLAS and
+rounds differently.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +30,14 @@ import numpy as np
 from .geometry import Pose6, Rotation3, cross3
 
 WORLD = "world"
+
+_EYE3 = np.eye(3)
+_ZERO3 = np.zeros(3)
+_EYE3.flags.writeable = False
+_ZERO3.flags.writeable = False
+# component k of a cross product pairs components k+1 and k+2 (mod 3)
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 class HandModelError(ValueError):
@@ -64,15 +86,16 @@ def _skew(v):
 class FKResult:
     """World-frame kinematics for one joint vector."""
 
-    __slots__ = ("q", "link_rot", "link_pos", "joint_axis_w", "joint_pos_w", "site_pos")
+    __slots__ = ("q", "link_rot", "link_pos", "joint_axis_w", "joint_pos_w", "sites", "site_pos")
 
-    def __init__(self, q, link_rot, link_pos, joint_axis_w, joint_pos_w, site_pos):
+    def __init__(self, q, link_rot, link_pos, joint_axis_w, joint_pos_w, sites, site_names):
         self.q = q
         self.link_rot = link_rot  # dict link -> 3x3
         self.link_pos = link_pos  # dict link -> (3,)
         self.joint_axis_w = joint_axis_w  # (D, 3)
         self.joint_pos_w = joint_pos_w  # (D, 3)
-        self.site_pos = site_pos  # dict site -> (3,)
+        self.sites = sites  # (S, 3): fingertip sites, then the three palm sites
+        self.site_pos = dict(zip(site_names, sites))  # site -> row of `sites`
 
 
 class HandModel:
@@ -162,10 +185,23 @@ class HandModel:
     def _build_tables(self) -> None:
         self.limits_lo = np.array([j.limits[0] for j in self.joints])
         self.limits_hi = np.array([j.limits[1] for j in self.joints])
-        # precompute per-joint constants for Rodrigues' formula
-        self._origin_rot = [j.origin_rot.as_matrix() for j in self.joints]
-        self._K = [_skew(j.axis) for j in self.joints]
-        self._K2 = [k @ k for k in self._K]
+        # one FK step per joint: parent and child link, the origin rotation
+        # and offset (None when identity or zero), the axis, and K, K^2 of
+        # Rodrigues' formula as nine floats each (None for a prismatic joint)
+        self._fk_steps = []
+        for j in self.joints:
+            rot0 = j.origin_rot.as_matrix()
+            k = _skew(j.axis)
+            self._fk_steps.append((
+                j.parent,
+                j.child,
+                None if rot0.tobytes() == _EYE3.tobytes() else rot0,
+                j.origin_pos if j.origin_pos.any() else None,
+                j.axis,
+                (tuple(k.ravel().tolist()), tuple((k @ k).ravel().tolist()))
+                if j.jtype == "revolute" else None,
+            ))
+        self._axes = np.array([j.axis for j in self.joints])[:, :, None]
         # chain of joint indices from root to each link
         parent_joint: dict[str, int] = {}
         for i, j in enumerate(self.joints):
@@ -189,6 +225,18 @@ class HandModel:
         # distal links: the ones fingertip sites attach to, in fingertip order
         self.distal_links = tuple(s.link for s in self.fingertip_sites)
         self.fingertip_order = {s.name: i for i, s in enumerate(self.fingertip_sites)}
+        # every site, fingertips then palm: the rows of `FKResult.sites`, and
+        # per site the revolute and prismatic columns of its chain
+        sites = self.fingertip_sites + self.palm_sites
+        self._site_names = tuple(s.name for s in sites)
+        self._site_links = tuple(s.link for s in sites)
+        self._site_local = np.array([s.pos for s in sites])[:, :, None]
+        self._site_rev = np.zeros((len(sites), 1, self.dof), dtype=bool)
+        self._site_pri = np.zeros((len(sites), 1, self.dof), dtype=bool)
+        for k, s in enumerate(sites):
+            rev, pri = self._chain_cols[s.link]
+            self._site_rev[k, 0, rev] = True
+            self._site_pri[k, 0, pri] = True
         self._has_mass = any(l.mass > 0.0 for l in self.links.values())
 
     def chain_of(self, link: str) -> tuple[int, ...]:
@@ -206,30 +254,36 @@ class HandModel:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dof,):
             raise HandModelError(f"expected q of shape ({self.dof},), got {q.shape}")
-        link_rot: dict[str, np.ndarray] = {WORLD: np.eye(3)}
-        link_pos: dict[str, np.ndarray] = {WORLD: np.zeros(3)}
-        joint_axis_w = np.empty((self.dof, 3))
-        joint_pos_w = np.empty((self.dof, 3))
-        eye = np.eye(3)
-        for i, j in enumerate(self.joints):
-            rp = link_rot[j.parent]
-            pp = link_pos[j.parent]
-            rj = rp @ self._origin_rot[i]
-            pj = rp @ j.origin_pos + pp
-            axis_w = rj @ j.axis
-            joint_axis_w[i] = axis_w
-            joint_pos_w[i] = pj
-            if j.jtype == "revolute":
-                s, c = np.sin(q[i]), np.cos(q[i])
-                link_rot[j.child] = rj @ (eye + s * self._K[i] + (1.0 - c) * self._K2[i])
-                link_pos[j.child] = pj
-            else:  # prismatic
-                link_rot[j.child] = rj
-                link_pos[j.child] = pj + q[i] * axis_w
-        site_pos = {}
-        for s in self.fingertip_sites + self.palm_sites:
-            site_pos[s.name] = link_rot[s.link] @ s.pos + link_pos[s.link]
-        return FKResult(q, link_rot, link_pos, joint_axis_w, joint_pos_w, site_pos)
+        sin_q = np.sin(q).tolist()
+        cos_q = np.cos(q).tolist()
+        link_rot: dict[str, np.ndarray] = {WORLD: _EYE3}
+        link_pos: dict[str, np.ndarray] = {WORLD: _ZERO3}
+        joint_rot = []  # per joint, its frame before its own motion
+        joint_pos = []
+        for i, (parent, child, rot0, pos0, axis, kk) in enumerate(self._fk_steps):
+            rp = link_rot[parent]
+            rj = rp + 0.0 if rot0 is None else rp @ rot0
+            pj = link_pos[parent] if pos0 is None else rp @ pos0 + link_pos[parent]
+            joint_rot.append(rj)
+            joint_pos.append(pj)
+            if kk is None:  # prismatic
+                link_rot[child] = rj
+                link_pos[child] = pj + q[i] * (rj @ axis)
+                continue
+            (k0, k1, k2, k3, k4, k5, k6, k7, k8), (m0, m1, m2, m3, m4, m5, m6, m7, m8) = kk
+            s, c = sin_q[i], 1.0 - cos_q[i]
+            link_rot[child] = rj @ np.array((
+                ((1.0 + s * k0) + c * m0, (0.0 + s * k1) + c * m1, (0.0 + s * k2) + c * m2),
+                ((0.0 + s * k3) + c * m3, (1.0 + s * k4) + c * m4, (0.0 + s * k5) + c * m5),
+                ((0.0 + s * k6) + c * m6, (0.0 + s * k7) + c * m7, (1.0 + s * k8) + c * m8),
+            ))
+            link_pos[child] = pj
+        # every joint's axis in one stacked matmul: the same BLAS call per joint
+        joint_axis_w = (np.array(joint_rot) @ self._axes)[:, :, 0]
+        joint_pos_w = np.array(joint_pos)
+        rots = np.array([link_rot[l] for l in self._site_links])
+        sites = (rots @ self._site_local)[:, :, 0] + np.array([link_pos[l] for l in self._site_links])
+        return FKResult(q, link_rot, link_pos, joint_axis_w, joint_pos_w, sites, self._site_names)
 
     def point_jacobian(self, fkres: FKResult, link: str, point_w: np.ndarray) -> np.ndarray:
         """d(point)/dq for a world point rigidly attached to `link`; (3, D).
@@ -248,8 +302,24 @@ class HandModel:
         jac[:, pri] = fkres.joint_axis_w[pri].T
         return jac
 
+    def site_jacobians(self, fkres: FKResult) -> np.ndarray:
+        """d(site)/dq of every fingertip and palm site; (S, 3, D), rows as in `fkres.sites`.
+
+        Row k is `point_jacobian(fkres, site.link, fkres.sites[k])`, bitwise:
+        the same column formula over all sites and joints at once, kept where
+        a joint is in the site's chain.
+        """
+        z = fkres.joint_axis_w.T
+        d = fkres.sites[:, :, None] - fkres.joint_pos_w.T
+        # (z1 d2 - z2 d1, z2 d0 - z0 d2, z0 d1 - z1 d0) for every site and joint
+        cols = z[_NEXT] * d[:, _PREV] - z[_PREV] * d[:, _NEXT]
+        jac = np.zeros(cols.shape)
+        np.copyto(jac, cols, where=self._site_rev)
+        np.copyto(jac, z, where=self._site_pri)
+        return jac
+
     def fingertip_positions(self, fkres: FKResult) -> np.ndarray:
-        return np.array([fkres.site_pos[s.name] for s in self.fingertip_sites])
+        return fkres.sites[: len(self.fingertip_sites)].copy()
 
     # -- palm orientation ----------------------------------------------------
 
@@ -259,23 +329,19 @@ class HandModel:
         Orientation of the raw cross product is arbitrary; the model file fixes
         the sign so the normal points out of the palm surface.
         """
-        return self.palm_normal_jacobian(fkres)[0]
+        return self.palm_normal_jacobian(fkres, self.site_jacobians(fkres))[0]
 
-    def palm_normal_jacobian(self, fkres: FKResult) -> tuple[np.ndarray, np.ndarray]:
-        """(normal, d(normal)/dq with shape (3, D))."""
-        s_index, s_ring, s_wrist = self.palm_sites
-        p_i = fkres.site_pos[s_index.name]
-        p_r = fkres.site_pos[s_ring.name]
-        p_w = fkres.site_pos[s_wrist.name]
+    def palm_normal_jacobian(self, fkres: FKResult, sjac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(normal, d(normal)/dq with shape (3, D)); `sjac` is `site_jacobians(fkres)`."""
+        n_tips = len(self.fingertip_sites)
+        p_i, p_r, p_w = fkres.sites[n_tips:]
+        j_i, j_r, j_w = sjac[n_tips:]
         e1 = p_i - p_w
         e2 = p_r - p_w
         u = cross3(e1, e2)
-        norm_u = np.linalg.norm(u)
+        norm_u = math.sqrt(u.dot(u))
         if norm_u < 1e-12:
             raise HandModelError("palm sites are collinear; palm plane is undefined")
-        j_i = self.point_jacobian(fkres, s_index.link, p_i)
-        j_r = self.point_jacobian(fkres, s_ring.link, p_r)
-        j_w = self.point_jacobian(fkres, s_wrist.link, p_w)
         de1 = j_i - j_w
         de2 = j_r - j_w
         # du_k = de1_k x e2 + e1 x de2_k for every column k, as np.cross computes it
@@ -289,7 +355,7 @@ class HandModel:
             (a0 * y1 - a1 * y0) + (x0 * b1 - x1 * b0),
         ])
         n_hat = u / norm_u
-        dn = (np.eye(3) - np.outer(n_hat, n_hat)) @ du / norm_u
+        dn = (_EYE3 - n_hat[:, None] * n_hat) @ du / norm_u
         return self.palm_normal_sign * n_hat, self.palm_normal_sign * dn
 
     # -- statics -------------------------------------------------------------

@@ -15,6 +15,7 @@ box constraints handled by the solver.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,33 +75,32 @@ def split_hand_frame(h):
 
 
 def _mapped_targets(model: HandModel, tips: np.ndarray):
-    """Pairs of (fingertip `Site`, target position) for fingers the hand maps."""
-    site_by_name = {s.name: s for s in model.fingertip_sites}
+    """Pairs of (fingertip site index, target position) for fingers the hand maps."""
     out = []
     for finger, name in sorted(model.correspondence.items()):
         if finger < 0 or finger >= HUMAN_FINGERS:
             raise RetargetError(f"correspondence finger index {finger} out of range")
-        out.append((site_by_name[name], tips[finger]))
+        out.append((model.fingertip_order[name], tips[finger]))
     return out
 
 
 def _objective_terms(model, q, targets, normal_h, q_prev, w):
     fkres = model.fk(q)
+    sjac = model.site_jacobians(fkres)
     grad = np.zeros(model.dof)
     e_f = 0.0
     tip_err = 0.0
-    for site, target in targets:
-        p = fkres.site_pos[site.name]
-        r = p - target
+    for k, target in targets:
+        r = fkres.sites[k] - target
         e_f += float(r @ r)
-        tip_err += float(np.linalg.norm(r))
-        jac = model.point_jacobian(fkres, site.link, p)
-        grad += 2.0 * w.fingertip_weight * (jac.T @ r)
+        tip_err += math.sqrt(r.dot(r))
+        grad += 2.0 * w.fingertip_weight * (sjac[k].T @ r)
     e_o = 0.0
     if w.palm_weight > 0.0:
-        n_r, dn = model.palm_normal_jacobian(fkres)
+        n_r, dn = model.palm_normal_jacobian(fkres, sjac)
         cos_t = float(np.clip(n_r @ normal_h, -1.0, 1.0))
-        sin_t = float(np.linalg.norm(cross3(n_r, normal_h)))
+        v = cross3(n_r, normal_h)
+        sin_t = math.sqrt(v.dot(v))
         theta = float(np.arctan2(sin_t, cos_t))
         e_o = theta * theta
         # d(theta^2)/dq = -2 (theta / sin theta) * d(cos theta)/dq, smooth at 0

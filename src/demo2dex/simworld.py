@@ -19,6 +19,7 @@ Everything is double precision, sequential, and bitwise deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +210,7 @@ class SimWorld:
         other._distal_prims = self._distal_prims
         other.q = self.q.copy()
         other.qdot = self.qdot.copy()
-        other.rot = Rotation3(self.rot.q.copy(), normalize=False)
+        other.rot = self.rot  # immutable
         other.com_w = self.com_w.copy()
         other.v = self.v.copy()
         other.w = self.w.copy()
@@ -276,7 +277,8 @@ class SimWorld:
             a_w, b_w, r = self._prim_world(idx)
             link = self._prims[idx][0]
             mid = 0.5 * (a_w + b_w)
-            half_len = 0.5 * float(np.linalg.norm(b_w - a_w))
+            seg = b_w - a_w
+            half_len = 0.5 * math.sqrt(seg.dot(seg))
             prev = self._prev_prim_pts.get(idx)
             va = (a_w - prev[0]) / dt if prev is not None else np.zeros(3)
             vb = (b_w - prev[1]) / dt if prev is not None else np.zeros(3)
@@ -296,7 +298,6 @@ class SimWorld:
                 p_prim_w = pose.apply(p_prim)
                 p_piece_w = pose.apply(p_piece)
                 # witness velocity: interpolate endpoint velocities along the segment
-                seg = b_w - a_w
                 seg_len2 = float(seg @ seg)
                 t = 0.0 if seg_len2 < 1e-18 else float(np.clip((p_prim_w - a_w) @ seg / seg_len2, 0.0, 1.0))
                 v_wit = (1.0 - t) * va + t * vb
@@ -342,7 +343,9 @@ class SimWorld:
         tau_g = model.gravity_torques(self.fkres, cfg.gravity)
         h = cfg.dt / cfg.substeps
         mass = self.geometry.mass
-        contact_report: dict[tuple, ContactRecord] = {}
+        # per key, (contact, point, force) of the last substep with fn > 0,
+        # in the order the keys first got there
+        touched: dict[tuple, tuple[_Contact, np.ndarray, np.ndarray]] = {}
         for _ in range(cfg.substeps):
             force = mass * self.gravity
             torque = np.zeros(3)
@@ -374,7 +377,7 @@ class SimWorld:
                     v_t = v_rel - vn * c.normal
                     f_t = -cfg.friction_stiffness * u_t - ct_eff * v_t
                     limit = cfg.friction_mu * fn
-                    mag = float(np.linalg.norm(f_t))
+                    mag = math.sqrt(f_t.dot(f_t))
                     if mag > limit:
                         f_t = f_t * (limit / mag) if mag > 0 else f_t * 0.0
                         # slide the anchor so the spring matches the clamped force
@@ -386,10 +389,7 @@ class SimWorld:
                     if c.jac_t is not None:
                         tau_react += c.jac_t @ (-f_vec)
                 if fn > 0.0:
-                    contact_report[key] = ContactRecord(
-                        body=c.link, piece=key[2] if key[0] == "h" else key[1],
-                        point=p_o.copy(), normal=c.normal.copy(), force=f_vec.copy(),
-                    )
+                    touched[key] = (c, p_o, f_vec)
                 # relinearize penetration for the next substep
                 c.pen = pen - h * vn
             # hand joints: PD servo with reaction and gravity load
@@ -418,7 +418,14 @@ class SimWorld:
         if energy > cfg.energy_limit:
             raise SimDivergenceError(self.step_index, energy)
         tips = model.fingertip_positions(self.fkres)
-        hand_contact = any(k[0] == "h" for k in contact_report)
+        contacts = [
+            ContactRecord(
+                body=c.link, piece=key[2] if key[0] == "h" else key[1],
+                point=p_o, normal=c.normal.copy(), force=f_vec,
+            )
+            for key, (c, p_o, f_vec) in touched.items()
+        ]
+        hand_contact = any(k[0] == "h" for k in touched)
         return WorldState(
             q=self.q.copy(),
             qdot=self.qdot.copy(),
@@ -426,7 +433,7 @@ class SimWorld:
             v=self.v.copy(),
             w=self.w.copy(),
             step_index=self.step_index,
-            contacts=list(contact_report.values()),
+            contacts=contacts,
             fingertips=tips,
             hand_contact=hand_contact,
         )

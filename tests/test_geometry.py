@@ -1,4 +1,6 @@
 """Rotation and pose algebra against scipy and closed-form oracles."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,33 @@ def test_cross3_is_bitwise_np_cross(a, b):
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow in both
         want = np.cross(a, b)
     assert cross3(a, b).tobytes() == want.tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_sqrt_of_self_dot_is_bitwise_linalg_norm(a):
+    a = np.array(a)
+    with np.errstate(over="ignore"):  # huge entries overflow to inf in both
+        assert np.float64(math.sqrt(a.dot(a))).tobytes() == np.linalg.norm(a).tobytes()
+
+
+@given(unit_quat)
+@settings(max_examples=200, deadline=None)
+def test_rotation_keeps_a_read_only_matrix(q):
+    wxyz = np.array(q)
+    r = Rotation3(wxyz, normalize=False)
+    wxyz[0] += 1.0  # the rotation holds its own copy
+    with pytest.raises(ValueError):
+        r.q[0] = 1.0
+    m = r.as_matrix()
+    assert r.as_matrix() is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    fresh = Rotation3(r.q, normalize=False).as_matrix()
+    assert m.tobytes() == fresh.tobytes()
+    pts = RNG.normal(size=(7, 3))
+    assert r.apply(pts).tobytes() == (pts @ fresh.T).tobytes()
+    assert r.apply(pts[0]).tobytes() == (pts[0] @ fresh.T).tobytes()
 
 
 def test_unit_vector_angle():

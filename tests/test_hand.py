@@ -3,6 +3,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demo2dex.geometry import Pose6, Rotation3, geodesic_angle, random_rotation
 from demo2dex.hand import HandModelError, hand_from_dict
@@ -57,7 +59,8 @@ def test_palm_normal_jacobian_matches_finite_differences(hand_name):
     eps = 1e-7
     for trial in range(3):
         q = model.clamp(RNG.uniform(-0.6, 0.6, model.dof))
-        _, dn = model.palm_normal_jacobian(model.fk(q))
+        fk = model.fk(q)
+        _, dn = model.palm_normal_jacobian(fk, model.site_jacobians(fk))
         for k in range(model.dof):
             qp, qm = q.copy(), q.copy()
             qp[k] += eps
@@ -103,10 +106,111 @@ def test_jacobians_bitwise_equal_np_cross_reference(hand_name):
             p = RNG.normal(scale=0.2, size=3)
             want = reference_point_jacobian(model, fk, link, p)
             assert np.array_equal(model.point_jacobian(fk, link, p), want), link
-        n, dn = model.palm_normal_jacobian(fk)
+        n, dn = model.palm_normal_jacobian(fk, model.site_jacobians(fk))
         n_ref, dn_ref = reference_palm_normal_jacobian(model, fk)
         assert np.array_equal(n, n_ref)
         assert np.array_equal(dn, dn_ref)
+
+
+def _skew(v):
+    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]], dtype=np.float64)
+
+
+def reference_fk(model, q):
+    """The per-joint loop: every origin, axis and Rodrigues product as a numpy
+    matmul, each site placed by its own matrix-vector product."""
+    link_rot = {"world": np.eye(3)}
+    link_pos = {"world": np.zeros(3)}
+    axis_w = np.empty((model.dof, 3))
+    pos_w = np.empty((model.dof, 3))
+    eye = np.eye(3)
+    for i, j in enumerate(model.joints):
+        rp, pp = link_rot[j.parent], link_pos[j.parent]
+        rj = rp @ j.origin_rot.as_matrix()
+        pj = rp @ j.origin_pos + pp
+        axis_w[i] = rj @ j.axis
+        pos_w[i] = pj
+        if j.jtype == "revolute":
+            k = _skew(j.axis)
+            s, c = np.sin(q[i]), np.cos(q[i])
+            link_rot[j.child] = rj @ (eye + s * k + (1.0 - c) * (k @ k))
+            link_pos[j.child] = pj
+        else:
+            link_rot[j.child] = rj
+            link_pos[j.child] = pj + q[i] * axis_w[i]
+    site_pos = {
+        s.name: link_rot[s.link] @ s.pos + link_pos[s.link]
+        for s in model.fingertip_sites + model.palm_sites
+    }
+    return link_rot, link_pos, axis_w, pos_w, site_pos
+
+
+def joint_vectors(model):
+    """q with every joint drawn from its range, or exactly 0, -0 or a limit."""
+    return st.tuples(*(
+        st.sampled_from([0.0, -0.0, lo, hi]) | st.floats(lo, hi)
+        for lo, hi in zip(model.limits_lo.tolist(), model.limits_hi.tolist())
+    )).map(np.array)
+
+
+def skewed_hand_dict() -> dict:
+    """The planar hand with tilted finger axes and a prismatic joint after a
+    revolute one: every bundled hand turns about basis axes only."""
+    data = planar_hand_dict()
+    mcp, pip = data["joints"][6], data["joints"][7]
+    mcp["axis"] = [0.48, 0.6, 0.64]
+    pip.update(type="prismatic", axis=[0.6, 0.0, -0.8], limits=[-0.02, 0.03])
+    return data
+
+
+REFERENCE_MODELS = {name: resolve_hand(name)[0] for name in BUNDLED_HANDS}
+REFERENCE_MODELS["skewed"] = hand_from_dict(skewed_hand_dict())
+
+
+@pytest.mark.parametrize("hand_name", list(REFERENCE_MODELS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fk_and_site_jacobians_bitwise_equal_per_joint_reference(hand_name, data):
+    model = REFERENCE_MODELS[hand_name]
+    assert_matches_per_joint_reference(model, data.draw(joint_vectors(model)))
+
+
+def test_skipped_identity_product_turns_a_signed_zero_into_zero():
+    """Here the skewed hand's proximal rotation holds a -0.0 (an underflowed
+    product), and the matmul by the prismatic joint's identity origin
+    rotation returns 0.0 in its place."""
+    q = np.array([0.0, 0.8499041808514662, -0.9363381631193785, -0.31887649518490235,
+                  5e-324, -0.0, -5e-324, -0.0193613957856771])
+    model = REFERENCE_MODELS["skewed"]
+    prox = reference_fk(model, q)[0]["prox"]
+    assert np.signbit(prox[prox == 0.0]).any()
+    assert_matches_per_joint_reference(model, q)
+
+
+def assert_matches_per_joint_reference(model, q):
+    fk = model.fk(q)
+    link_rot, link_pos, axis_w, pos_w, site_pos = reference_fk(model, q)
+    assert fk.link_rot.keys() == link_rot.keys()
+    for name in link_rot:  # tobytes tells a signed zero from zero
+        assert fk.link_rot[name].tobytes() == link_rot[name].tobytes(), name
+        assert fk.link_pos[name].tobytes() == link_pos[name].tobytes(), name
+    assert fk.joint_axis_w.tobytes() == axis_w.tobytes()
+    assert fk.joint_pos_w.tobytes() == pos_w.tobytes()
+    assert list(fk.site_pos) == list(site_pos)
+    for name in site_pos:
+        assert fk.site_pos[name].tobytes() == site_pos[name].tobytes(), name
+    sjac = model.site_jacobians(fk)
+    sites = model.fingertip_sites + model.palm_sites
+    assert sjac.shape == (len(sites), 3, model.dof)
+    for k, site in enumerate(sites):
+        want = model.point_jacobian(fk, site.link, fk.site_pos[site.name])
+        assert sjac[k].tobytes() == want.tobytes(), site.name
+    # equal in value: the reference's `np.cross` hands BLAS a transposed
+    # layout, which at subnormal inputs can round a zero to -0.0 differently
+    n, dn = model.palm_normal_jacobian(fk, sjac)
+    n_ref, dn_ref = reference_palm_normal_jacobian(model, fk)
+    assert np.array_equal(n, n_ref)
+    assert np.array_equal(dn, dn_ref)
 
 
 def test_wrist_pose_round_trip(toy_hand):

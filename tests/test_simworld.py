@@ -1,5 +1,7 @@
 """Dynamics checks: closed-form kinematics of falling bodies, inertia
 tensors, resting and sliding contact, determinism, replay snapshots."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,22 @@ def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
             assert np.array_equal(snap._contacts[key].anchor, c.anchor), (k, key)
         for a, want in zip(controls[k:], states[k:]):
             assert_same_state(snap.step(a), want)
+
+
+def test_closing_replay_contact_records_are_pinned(toy_hand, lift_demo):
+    """Body, piece and the bytes of point, normal and force of every contact
+    record of the closing replay, in order: each step reports, per contact,
+    the last substep that pushed, in the order the contacts first pushed."""
+    controls = closing_controls(toy_hand)
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
+    states, _ = replay(world, controls)
+    digest = hashlib.sha256()
+    n_records = n_hand = 0
+    for state in states:
+        for c in state.contacts:
+            digest.update(f"{c.body}|{c.piece}|".encode())
+            digest.update(c.point.tobytes() + c.normal.tobytes() + c.force.tobytes())
+            n_records += 1
+            n_hand += c.body != "ground"
+    assert (n_records, n_hand) == (188, 62)
+    assert digest.hexdigest() == "8c03227c7d113addb8c46ad61a808f72abbf078059732ce306d29be445b87b1f"
