@@ -5,7 +5,7 @@ hand, closes the kinematic-to-physical gap with residual reinforcement
 learning around the retargeted plan, carries the object through the recorded
 manipulation with a rigidly attached wrist, and scores the result.
 """
-from .adapt import ActionRescaler, GraspEnv, RewardConstants, build_episode, compute_reward
+from .adapt import ActionRescaler, GraspEnv, build_episode, compute_reward
 from .demo import DemoSequence, extract_contacts, load_demo
 from .geometry import Pose6, Rotation3, geodesic_angle
 from .hand import HandModel, load_hand
@@ -25,7 +25,6 @@ __all__ = [
     "MetricReport",
     "Pose6",
     "RetargetWeights",
-    "RewardConstants",
     "Rotation3",
     "SimConfig",
     "SimWorld",

@@ -21,23 +21,29 @@ from .metrics import SUCCESS_RADIUS
 from .retarget import ControlPlan
 from .simworld import SimDivergenceError, SimWorld, WorldState
 
-DELTA_MAX = 0.2  # residual clamp, normalized units
-WRIST_RHO_DEFAULT = (0.05, 0.05, 0.05, 0.3, 0.3, 0.3)
-GRACE_STEPS = 60
+# residual clamp, normalized units. It doubles as a squeeze governor:
+# saturated finger residuals land in the narrow force window that holds the box
+# without crushing it out of the pinch, so any sufficiently positive action grips
+DELTA_MAX = 0.08
+WRIST_RHO = (0.05, 0.05, 0.05, 0.3, 0.3, 0.3)  # wrist residual half-ranges: m, then rad
+GRACE_STEPS = 90  # control steps the episode runs past the goal step
 GOAL_DEVIATION = 0.1  # m; object displacement that marks the manipulation goal
+GUIDE_FINGER = 0  # fingertip that picks the pregrasp step: the first, the opposing digit
+# guide-fingertip distance to its recorded contact that starts the episode:
+# entering early in the hover leaves settle time for the policy to close before
+# the recording starts moving
+PREGRASP_THRESHOLD = 0.016  # m
 DIVERGENCE_PENALTY = -10.0
+
+# staged reward
+EPSILON = 0.06  # m; contact-enclosure distance bound
+PHI = 0.002  # m; surface proximity that counts as touching
+ALPHA = (10.0, 10.0, 20.0)  # weights of the approach, grasp and lift stages
+GRASP_WEIGHTS = (0.5, 0.5)  # contact count and joint similarity within the grasp stage
 
 
 class AdaptError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RewardConstants:
-    epsilon: float = 0.06  # contact-enclosure distance bound
-    phi: float = 0.002  # surface proximity that counts as touching
-    alpha: tuple[float, float, float] = (10.0, 10.0, 20.0)
-    grasp_weights: tuple[float, float] = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -76,20 +82,9 @@ class ActionRescaler:
     targets can never leave the box no matter what the policy outputs.
     """
 
-    def __init__(self, model: HandModel, wrist_rho=None, delta_max: float = DELTA_MAX):
-        self.model = model
+    def __init__(self, model: HandModel):
         self.n_wrist = 6 if model.floating_base else 0
-        rho = np.asarray(
-            wrist_rho if wrist_rho is not None else WRIST_RHO_DEFAULT, dtype=np.float64
-        )
-        if self.n_wrist and rho.shape != (6,):
-            raise AdaptError("wrist_rho must have six entries")
-        if self.n_wrist and np.any(rho <= 0):
-            raise AdaptError("wrist_rho entries must be positive")
-        self.rho = rho
-        if delta_max <= 0:
-            raise AdaptError("delta_max must be positive")
-        self.delta_max = float(delta_max)
+        self.rho = np.asarray(WRIST_RHO, dtype=np.float64)
         self.lo = model.limits_lo.copy()
         self.hi = model.limits_hi.copy()
         self._f = slice(self.n_wrist, model.dof)
@@ -118,7 +113,7 @@ class ActionRescaler:
 
     def residual(self, base: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Executed target for a residual action around the primary target."""
-        delta = np.clip(np.asarray(delta, dtype=np.float64), -self.delta_max, self.delta_max)
+        delta = np.clip(np.asarray(delta, dtype=np.float64), -DELTA_MAX, DELTA_MAX)
         a = np.clip(self.encode(base, base) + delta, -1.0, 1.0)
         return self.decode(a, base)
 
@@ -131,7 +126,6 @@ class EpisodeSpec:
     goal_step: int
     horizon: int  # absolute control step at which the episode ends
     target_pose: Pose6  # recorded object pose at the horizon
-    success_radius: float = SUCCESS_RADIUS
     warnings: list[str] = field(default_factory=list)
     pregrasp_step: int = 0  # chosen on the primary replay by `select_pregrasp`
 
@@ -140,36 +134,35 @@ class EpisodeSpec:
         return self.horizon - self.pregrasp_step
 
 
-def find_goal_frame(demo: DemoSequence, deviation: float = GOAL_DEVIATION) -> tuple[int, list[str]]:
-    """First recorded frame whose object position left the start by `deviation`."""
+def find_goal_frame(demo: DemoSequence) -> tuple[int, list[str]]:
+    """First recorded frame whose object position left the start by GOAL_DEVIATION."""
     pos = demo.object_positions()
     dist = np.linalg.norm(pos - pos[0], axis=1)
-    idx = np.nonzero(dist >= deviation)[0]
+    idx = np.nonzero(dist >= GOAL_DEVIATION)[0]
     if idx.size:
         return int(idx[0]), []
     far = int(np.argmax(dist))
     return far, [
-        f"object never moves {deviation:.3f} m from its start; using peak deviation frame {far}"
+        f"object never moves {GOAL_DEVIATION:.3f} m from its start; using peak deviation frame {far}"
     ]
 
 
 def select_pregrasp(
     records: list[WorldState],
     mapped: list[MappedContact],
-    guide_finger: int = 0,
-    mode: str = "nearest",
     threshold: float | None = None,
 ) -> tuple[int, list[str]]:
     """Pick the episode start among contact-free steps of the primary replay.
 
     Every record given is a candidate; the caller replays only the steps
-    before the goal. The guide fingertip (by default the first, the opposing
-    digit) is measured against its own recorded contact point, carried along
-    with the replayed object pose.
+    before the goal. The guide fingertip, GUIDE_FINGER, is measured against its
+    own recorded contact point, carried along with the replayed object pose.
+    With a `threshold`, the first step within it is taken; without one, or
+    (with a warning) when no step gets that close, the nearest step.
     """
-    guide_points = [c.point_obj for c in mapped if c.finger == guide_finger]
+    guide_points = [c.point_obj for c in mapped if c.finger == GUIDE_FINGER]
     if not guide_points:
-        raise AdaptError(f"guide finger {guide_finger} has no recorded contact")
+        raise AdaptError(f"guide finger {GUIDE_FINGER} has no recorded contact")
     point_obj = guide_points[0]
     best, best_d = None, math.inf
     warnings: list[str] = []
@@ -177,8 +170,8 @@ def select_pregrasp(
         if rec.hand_contact:
             continue
         c_world = rec.object_pose.apply(point_obj)
-        d = float(np.linalg.norm(rec.fingertips[guide_finger] - c_world))
-        if mode == "threshold" and threshold is not None and d <= threshold:
+        d = float(np.linalg.norm(rec.fingertips[GUIDE_FINGER] - c_world))
+        if threshold is not None and d <= threshold:
             return t, warnings
         # strict improvement beyond a micron: on plateaus of near-equal
         # distance keep the earliest step, leaving settle time before motion
@@ -186,35 +179,27 @@ def select_pregrasp(
             best, best_d = t, d
     if best is None:
         raise AdaptError("no contact-free step available for pregrasp selection")
-    if mode == "threshold" and threshold is not None:
+    if threshold is not None:
         warnings.append(
             f"no contact-free step within threshold {threshold:.3f} m; "
             f"falling back to nearest (step {best}, {best_d:.3f} m)"
         )
-    elif mode not in ("nearest", "threshold"):
-        raise AdaptError(f"unknown pregrasp mode '{mode}'")
     return best, warnings
 
 
-def build_episode(
-    demo: DemoSequence,
-    plan: ControlPlan,
-    grace_steps: int = GRACE_STEPS,
-    goal_deviation: float = GOAL_DEVIATION,
-    success_radius: float = SUCCESS_RADIUS,
-) -> EpisodeSpec:
+def build_episode(demo: DemoSequence, plan: ControlPlan) -> EpisodeSpec:
     """Episode window from the recording alone: the goal step, the horizon
-    `grace_steps` after it, and the recorded object pose there. The start,
+    GRACE_STEPS after it, and the recorded object pose there. The start,
     `pregrasp_step`, is chosen later on the replay of the steps before the goal.
     """
     warnings: list[str] = []
-    goal_frame, w = find_goal_frame(demo, goal_deviation)
+    goal_frame, w = find_goal_frame(demo)
     warnings += w
     scale = plan.frequency / demo.fps
     goal_step = int(round(goal_frame * scale))
     if goal_step < 1:
         raise AdaptError(f"goal step {goal_step} leaves no step for the episode to start at")
-    horizon = goal_step + int(grace_steps)
+    horizon = goal_step + GRACE_STEPS
     n_steps = plan.a_primary.shape[0]
     if horizon > n_steps:
         warnings.append(
@@ -226,7 +211,6 @@ def build_episode(
         goal_step=goal_step,
         horizon=horizon,
         target_pose=target_pose,
-        success_radius=float(success_radius),
         warnings=warnings,
     )
 
@@ -243,7 +227,6 @@ def compute_reward(
     object_z0: float,
     target_pose: Pose6,
     mapped: list[MappedContact],
-    consts: RewardConstants,
     d_closest: float | None,
 ) -> tuple[float, dict[str, float], float]:
     """Staged grasp reward; returns (total, components, updated d_closest).
@@ -257,19 +240,19 @@ def compute_reward(
         c_world = object_pose.apply(c.point_obj)
         d = float(np.linalg.norm(fingertips[c.finger] - c_world))
         d_sum += d
-        if d > consts.epsilon:
+        if d > EPSILON:
             enclosed = False
     if d_closest is None:
         d_closest = d_sum
     r_approach = max(d_closest - d_sum, 0.0)
     d_closest = min(d_closest, d_sum)
 
-    touching = distal_distances <= consts.phi
+    touching = distal_distances <= PHI
     r_con = float(np.count_nonzero(touching))
     nq = float(np.linalg.norm(q))
     nt = float(np.linalg.norm(q_target))
     r_sim = float(q @ q_target / (nq * nt)) if nq > 1e-12 and nt > 1e-12 else 0.0
-    w_con, w_sim = consts.grasp_weights
+    w_con, w_sim = GRASP_WEIGHTS
     r_grasp = w_con * r_con + w_sim * r_sim
 
     hold = bool(touching[0]) and bool(np.any(touching[1:]))
@@ -281,7 +264,7 @@ def compute_reward(
         dist = float(np.linalg.norm(object_pose.pos - target_pose.pos))
         r_lift = 15.0 - min(5.0, 10.0 * ang) - min(5.0, 50.0 * dist)
 
-    a0, a1, a2 = consts.alpha
+    a0, a1, a2 = ALPHA
     total = a0 * r_approach + (a1 * r_grasp if enclosed else 0.0) + (a2 * r_lift if hold else 0.0)
     components = {
         "r_approach": r_approach,
@@ -314,15 +297,12 @@ class GraspEnv:
         plan: ControlPlan,
         episode: EpisodeSpec,
         mapped: list[MappedContact],
-        rescaler: ActionRescaler,
-        consts: RewardConstants = RewardConstants(),
     ):
         self._proto = world_at_pregrasp
         self.episode = episode
         self.mapped = mapped
-        self.rescaler = rescaler
-        self.consts = consts
         self.model = world_at_pregrasp.model
+        self.rescaler = ActionRescaler(self.model)
         n = plan.a_primary.shape[0]
         if episode.horizon > n:
             pad = np.repeat(plan.a_primary[-1:], episode.horizon - n, axis=0)
@@ -372,17 +352,15 @@ class GraspEnv:
             state = self.world.step(executed)
         except SimDivergenceError:
             return self._diverge(executed)
-        distal = np.array([d for _, d, _, _ in self.world.collision_query()])
         reward, comps, self.d_closest = compute_reward(
             state.q,
             base,
             state.fingertips,
-            distal,
+            self.world.collision_query(),
             state.object_pose,
             self.object_z0,
             self.episode.target_pose,
             self.mapped,
-            self.consts,
             self.d_closest,
         )
         self.t += 1
@@ -406,4 +384,4 @@ class GraspEnv:
         if self.diverged:
             return False
         err = np.linalg.norm(self.world.object_pose().pos - self.episode.target_pose.pos)
-        return bool(err <= self.episode.success_radius)
+        return bool(err <= SUCCESS_RADIUS)

@@ -86,16 +86,14 @@ def _skew(v):
 class FKResult:
     """World-frame kinematics for one joint vector."""
 
-    __slots__ = ("q", "link_rot", "link_pos", "joint_axis_w", "joint_pos_w", "sites", "site_pos")
+    __slots__ = ("link_rot", "link_pos", "joint_axis_w", "joint_pos_w", "sites")
 
-    def __init__(self, q, link_rot, link_pos, joint_axis_w, joint_pos_w, sites, site_names):
-        self.q = q
+    def __init__(self, link_rot, link_pos, joint_axis_w, joint_pos_w, sites):
         self.link_rot = link_rot  # dict link -> 3x3
         self.link_pos = link_pos  # dict link -> (3,)
         self.joint_axis_w = joint_axis_w  # (D, 3)
         self.joint_pos_w = joint_pos_w  # (D, 3)
         self.sites = sites  # (S, 3): fingertip sites, then the three palm sites
-        self.site_pos = dict(zip(site_names, sites))  # site -> row of `sites`
 
 
 class HandModel:
@@ -228,7 +226,6 @@ class HandModel:
         # every site, fingertips then palm: the rows of `FKResult.sites`, and
         # per site the revolute and prismatic columns of its chain
         sites = self.fingertip_sites + self.palm_sites
-        self._site_names = tuple(s.name for s in sites)
         self._site_links = tuple(s.link for s in sites)
         self._site_local = np.array([s.pos for s in sites])[:, :, None]
         self._site_rev = np.zeros((len(sites), 1, self.dof), dtype=bool)
@@ -283,7 +280,7 @@ class HandModel:
         joint_pos_w = np.array(joint_pos)
         rots = np.array([link_rot[l] for l in self._site_links])
         sites = (rots @ self._site_local)[:, :, 0] + np.array([link_pos[l] for l in self._site_links])
-        return FKResult(q, link_rot, link_pos, joint_axis_w, joint_pos_w, sites, self._site_names)
+        return FKResult(link_rot, link_pos, joint_axis_w, joint_pos_w, sites)
 
     def point_jacobian(self, fkres: FKResult, link: str, point_w: np.ndarray) -> np.ndarray:
         """d(point)/dq for a world point rigidly attached to `link`; (3, D).

@@ -8,15 +8,21 @@ metrics, scored from the trajectory record as `evaluate_run` scores it.
 Every stage is deterministic for a given (config, seed), and all artifacts
 are canonical JSON.
 
+A config sets the run's name, hand, recording and seed, the `sim` contact
+parameters (`SimConfig`) and the `rl` training budget (`TrainConfig`); every
+other setting is a module constant, listed in README.md under "Config". Any
+other key raises TypeError before a stage runs.
+
 A finished run is keyed by a content hash of the config, the bytes of the hand
-and recording files, the seed, `no_rl` and `VERSION`, and a rerun with the same
-key is served from the run directory. The key does not cover the code: after a
-code change, rerun with `force=True` (`transfer run --force`).
+and recording files, the seed, `no_rl` and `VERSION`. A rerun with the same key
+is served from the run directory if its manifest also records the sha256 of
+this package's sources (`code_sha256`); after a code change the run recomputes.
 """
 from __future__ import annotations
 
 import concurrent.futures
-import inspect
+import functools
+import hashlib
 import logging
 import os
 import time
@@ -25,22 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import (
-    ActionRescaler,
-    GraspEnv,
-    RewardConstants,
-    build_episode,
-    map_contacts,
-    select_pregrasp,
-)
+from .adapt import PREGRASP_THRESHOLD, GraspEnv, build_episode, map_contacts, select_pregrasp
 from .demo import DemoSequence, extract_contacts, load_demo
 from .geometry import Pose6, Rotation3
 from .hand import HandModel, load_hand
 from .jsonio import canonical_dumps, dump_json, load_json, sha256_file, sha256_of
 from .metrics import (
-    HOLD_STEPS,
     SUCCESS_RADIUS,
-    TSR_THRESHOLD,
     MetricReport,
     align_reference,
     encode_semantics,
@@ -50,26 +47,18 @@ from .metrics import (
     tsr,
 )
 from .ppo import TrainConfig, train_residual_policy
-from .retarget import (
-    ControlPlan,
-    RetargetWeights,
-    fit_smooth_trajectory,
-    retarget_sequence,
-    to_control_sequence,
-)
-from .simworld import SimConfig, SimWorld, replay
+from .retarget import ControlPlan, fit_smooth_trajectory, retarget_sequence, to_control_sequence
+from .simworld import CONTROL_FREQUENCY, SimConfig, SimWorld, replay
 from .synthetic import asset_path
-from .wrist import DROP_STEPS, WristPlanError, plan_wrist, track_manipulation
+from .wrist import WristPlanError, plan_wrist, track_manipulation
 
 VERSION = "0.1.0"
 log = logging.getLogger("demo2dex")
 
-# the top-level keys of a config: the run's name, inputs and defaults, then the
-# sections that `run_transfer` hands to their owners
-CONFIG_KEYS = frozenset({
-    "name", "hand", "demo", "seed", "control_frequency",
-    "sim", "rescale", "reward", "retarget", "metrics", "rl", "episode", "pregrasp",
-})
+# the top-level keys of a config: the run's name, inputs and seed, then the
+# sections that `run_transfer` hands to `SimConfig` and `TrainConfig`; every
+# other setting is a module constant (README.md, "Config")
+CONFIG_KEYS = frozenset({"name", "hand", "demo", "seed", "sim", "rl"})
 
 
 class PipelineError(RuntimeError):
@@ -100,24 +89,13 @@ def resolve_config(spec) -> dict:
     return load_json(_locate("configs", spec))
 
 
-@dataclass(frozen=True)
-class MetricsConfig:
-    """The `metrics` config section: scoring thresholds and the drop window of
-    the manipulation phase."""
-
-    success_radius: float = SUCCESS_RADIUS
-    hold_steps: int = HOLD_STEPS
-    tsr_threshold: float = TSR_THRESHOLD
-    drop_steps: int = DROP_STEPS
-
-
-def _keyword_section(cfg: dict, name: str, fn) -> dict:
-    """Config section `name`, checked now against the parameters of `fn`, which
-    takes it as keyword arguments later: a misspelled key raises TypeError
-    before any stage runs."""
-    section = cfg.get(name, {})
-    inspect.signature(fn).bind_partial(**section)
-    return section
+@functools.cache
+def code_sha256() -> str:
+    """sha256 over this package's Python sources, in file-name order; once per process."""
+    h = hashlib.sha256()
+    for p in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
 
 
 @dataclass
@@ -157,7 +135,7 @@ def _policy_rollout(env: GraspEnv, policy_fn):
     return states, executed, env.success(), False
 
 
-def _score(traj: dict, demo: DemoSequence, m_cfg: MetricsConfig) -> MetricReport:
+def _score(traj: dict, demo: DemoSequence) -> MetricReport:
     """Metrics of a trajectory record, the dict stored as trajectory.json."""
     poses = [_pose_from_row(r) for r in traj["poses"]]
     frequency = float(traj["frequency"])
@@ -165,16 +143,11 @@ def _score(traj: dict, demo: DemoSequence, m_cfg: MetricsConfig) -> MetricReport
     grasp_positions = np.array([po.pos for po in poses[p : p + g]]).reshape(-1, 3)
     ref = align_reference(demo.object_poses, demo.fps, len(poses), frequency)
     ep, er = ep_er(poses, ref)
-    held = sr_grasp(
-        grasp_positions,
-        np.asarray(traj["target_pos"], dtype=np.float64),
-        radius=float(m_cfg.success_radius),
-        hold_steps=int(m_cfg.hold_steps),
-    )
-    follow = not traj["dropped"] and not traj["diverged"]
+    held = sr_grasp(grasp_positions, np.asarray(traj["target_pos"], dtype=np.float64))
+    follow = held and not traj["dropped"] and not traj["diverged"]
     s_exec = encode_semantics(resample_to_frames(poses, frequency, demo.fps, demo.length))
     s_demo = encode_semantics(demo.object_poses)
-    score, sem_ok = tsr(s_exec, s_demo, threshold=float(m_cfg.tsr_threshold))
+    score, sem_ok = tsr(s_exec, s_demo)
     return MetricReport(
         ep=ep,
         er_deg=er,
@@ -197,6 +170,9 @@ def run_transfer(
     unknown = sorted(config.keys() - CONFIG_KEYS)
     if unknown:
         raise TypeError(f"unknown config key(s): {', '.join(unknown)}")
+    # config sections go straight to their owners, so a misspelled key raises here
+    sim_cfg = SimConfig(**config.get("sim", {}))
+    tr_cfg = TrainConfig(**config.get("rl", {}))
     cfg = dict(config)
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     hand_path = _locate("hands", cfg["hand"])
@@ -217,11 +193,13 @@ def run_transfer(
     run_dir = Path(out_dir) / f"{name}-seed{seed}{'-norl' if no_rl else ''}"
     manifest_path = run_dir / "manifest.json"
     metrics_path = run_dir / "metrics.json"
-    # manifest.json is written last, so a matching one marks a finished run; the
-    # key stored in metrics.json must match too, or the metrics are another run's
+    # manifest.json is written last, so a matching one marks a finished run of
+    # this code; the key stored in metrics.json must match too, or the metrics
+    # are another run's
     if not force and manifest_path.exists() and metrics_path.exists():
         stored = load_json(metrics_path)
-        if load_json(manifest_path).get("key") == key == stored.get("key"):
+        manifest = load_json(manifest_path)
+        if manifest.get("key") == key == stored.get("key") and manifest.get("code_sha256") == code_sha256():
             log.info("%s: cached (key %s)", run_dir.name, key[:12])
             return RunResult(
                 run_dir=run_dir,
@@ -233,25 +211,16 @@ def run_transfer(
             )
     model, _ = resolve_hand(hand_path)
     demo, _ = resolve_demo(demo_path)
-    # config sections go straight to their owners, so a misspelled key raises here
-    sim_cfg = SimConfig(**cfg.get("sim", {}))
-    rescaler = ActionRescaler(model, **cfg.get("rescale", {}))
-    consts = RewardConstants(**cfg.get("reward", {}))
-    weights = RetargetWeights(**cfg.get("retarget", {}))
-    m_cfg = MetricsConfig(**cfg.get("metrics", {}))
-    tr_cfg = TrainConfig(**cfg.get("rl", {}))
-    episode_kw = _keyword_section(cfg, "episode", build_episode)
-    pregrasp_kw = _keyword_section(cfg, "pregrasp", select_pregrasp)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)  # unfinished until the new manifest lands
     warnings: list[str] = []
 
     # -- retarget ------------------------------------------------------------
     t0 = time.perf_counter()
-    seq = retarget_sequence(model, demo.hand, weights)
+    seq = retarget_sequence(model, demo.hand)
     warnings += seq.warnings
     spline = fit_smooth_trajectory(seq.q_path, demo.fps)
-    frequency = float(cfg.get("control_frequency", demo.fps))
+    frequency = CONTROL_FREQUENCY
     a_primary = to_control_sequence(spline, model, frequency)
     plan = ControlPlan(
         q_path=seq.q_path, spline=spline, a_primary=a_primary, frequency=frequency, fps=demo.fps
@@ -266,15 +235,15 @@ def run_transfer(
     # -- episode window, primary replay up to the goal, episode start ----------
     t0 = time.perf_counter()
     mapped = map_contacts(extract_contacts(demo), model)
-    episode = build_episode(demo, plan, **episode_kw)
+    episode = build_episode(demo, plan)
     obj0 = demo.object_poses[0]
     world = SimWorld(model, demo.geometry, sim_cfg, plan.q_path[0], obj0)
     # the episode starts before the goal step, so the replay stops there
     records, starts = replay(world, plan.a_primary[: episode.goal_step])
-    episode.pregrasp_step, w = select_pregrasp(records, mapped, **pregrasp_kw)
+    episode.pregrasp_step, w = select_pregrasp(records, mapped, PREGRASP_THRESHOLD)
     episode.warnings += w
     warnings += episode.warnings
-    env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped, rescaler, consts)
+    env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped)
     del starts  # only the start snapshot is kept
     log.info(
         "%s: episode steps [%d, %d) around goal %d (replayed in %.1fs)",
@@ -313,7 +282,7 @@ def run_transfer(
                 model, demo, t_grasp, o_grasp, executed[-1], episode.horizon, frequency
             )
             warnings += mplan.warnings
-            track = track_manipulation(env.world, mplan, drop_steps=int(m_cfg.drop_steps))
+            track = track_manipulation(env.world, mplan)
             dropped, diverged, carried = track.dropped, track.diverged, track.records
             if diverged:
                 warnings.append("manipulation tracking diverged; trajectory truncated")
@@ -336,7 +305,7 @@ def run_transfer(
         "target_pos": episode.target_pose.pos.tolist(),
         "grasp_success": grasp_ok,
     }
-    report = _score(trajectory, demo, m_cfg)
+    report = _score(trajectory, demo)
 
     # -- artifacts ---------------------------------------------------------------
     dump_json(plan.to_dict(), run_dir / "plan.json")
@@ -346,7 +315,7 @@ def run_transfer(
             "goal_step": episode.goal_step,
             "horizon": episode.horizon,
             "target_pose": _pose_row(episode.target_pose),
-            "success_radius": episode.success_radius,
+            "success_radius": SUCCESS_RADIUS,
             "contacts": [
                 {"finger": c.finger, "point_obj": c.point_obj.tolist()} for c in mapped
             ],
@@ -377,6 +346,7 @@ def run_transfer(
         {
             "key": key,
             "version": VERSION,
+            "code_sha256": code_sha256(),
             "seed": seed,
             "no_rl": no_rl,
             "config": cfg,
@@ -416,7 +386,7 @@ def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
             f"recording at {demo_path} no longer matches the manifest hash"
         )
     traj = load_json(run_dir / "trajectory.json")
-    report = _score(traj, demo, MetricsConfig(**manifest["config"].get("metrics", {})))
+    report = _score(traj, demo)
     stored = load_json(run_dir / "metrics.json")
     verified = canonical_dumps(stored["metrics"]) == canonical_dumps(report.to_dict())
     return report, verified

@@ -19,26 +19,28 @@ LOG_STD_MAX = 1.0
 OBS_CLIP = 10.0
 
 
-@dataclass
-class TrainConfig:
-    hidden: tuple[int, ...] = (256, 256)
-    total_steps: int = 200_000
-    episodes_per_update: int = 4
-    epochs: int = 4
-    batch_size: int = 64
-    gamma: float = 0.995
-    gae_lambda: float = 0.95
-    clip: float = 0.3
-    lr: float = 3e-4
-    entropy_coef: float = 0.003
-    value_coef: float = 0.5
-    max_grad_norm: float = 10.0
-    action_std: float = 0.35
-    eval_every: int = 4  # updates between deterministic evaluations
-    early_stop: int = 3  # consecutive eval successes that end training
+# PPO settings of the residual grasp policy
+HIDDEN = (64, 64)
+EPISODES_PER_UPDATE = 4
+EPOCHS = 4
+BATCH_SIZE = 64
+GAMMA = 0.995
+GAE_LAMBDA = 0.95
+CLIP = 0.3
+LR = 3e-4
+ENTROPY_COEF = 0.003
+VALUE_COEF = 0.5
+MAX_GRAD_NORM = 10.0
+ACTION_STD = 0.2
+EVAL_EVERY = 2  # updates between deterministic evaluations
+EARLY_STOP = 3  # consecutive eval successes that end training
 
-    def __post_init__(self):
-        self.hidden = tuple(self.hidden)  # a JSON config gives a list
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The `rl` config section: the training budget."""
+
+    total_steps: int = 200_000
 
 
 class RunningNorm:
@@ -252,25 +254,25 @@ def run_episode(env, policy: GaussianPolicy, obs_norm: RunningNorm, rng=None, co
 def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
     """PPO on a residual grasp environment; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
-    policy = GaussianPolicy.build(env.dim_obs, env.dim_act, cfg.hidden, cfg.action_std, rng)
-    value = MLP([env.dim_obs, *cfg.hidden, 1], rng, out_scale=1.0)
+    policy = GaussianPolicy.build(env.dim_obs, env.dim_act, HIDDEN, ACTION_STD, rng)
+    value = MLP([env.dim_obs, *HIDDEN, 1], rng, out_scale=1.0)
     obs_norm = RunningNorm(env.dim_obs)
     p_params = policy.net.params()
     v_params = value.params()
-    opt_p = Adam(p_params + [policy.log_std], cfg.lr)
-    opt_v = Adam(v_params, cfg.lr)
+    opt_p = Adam(p_params + [policy.log_std], LR)
+    opt_v = Adam(v_params, LR)
 
     log: list[dict] = [
         {
             "type": "header",
-            "gamma": cfg.gamma,
-            "clip": cfg.clip,
-            "batch_size": cfg.batch_size,
-            "gae_lambda": cfg.gae_lambda,
-            "lr": cfg.lr,
-            "hidden": list(cfg.hidden),
-            "entropy_coef": cfg.entropy_coef,
-            "action_std": cfg.action_std,
+            "gamma": GAMMA,
+            "clip": CLIP,
+            "batch_size": BATCH_SIZE,
+            "gae_lambda": GAE_LAMBDA,
+            "lr": LR,
+            "hidden": list(HIDDEN),
+            "entropy_coef": ENTROPY_COEF,
+            "action_std": ACTION_STD,
             "seed": seed,
         }
     ]
@@ -284,7 +286,7 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
         # -- rollout --------------------------------------------------------
         batch_obs, batch_act, batch_logp, batch_adv, batch_ret = [], [], [], [], []
         ep_rewards, ep_lengths, ep_successes = [], [], []
-        for _ in range(cfg.episodes_per_update):
+        for _ in range(EPISODES_PER_UPDATE):
             rows: list = []
             total, steps, success, _ = run_episode(env, policy, obs_norm, rng=rng, collect=rows)
             obs_raw = np.array([r[0] for r in rows])
@@ -293,7 +295,7 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
             logps = np.array([r[3] for r in rows])
             xs = np.array([r[4] for r in rows])
             vals, _ = value.forward(xs)
-            adv, ret = compute_gae(rews, vals[:, 0], cfg.gamma, cfg.gae_lambda)
+            adv, ret = compute_gae(rews, vals[:, 0], GAMMA, GAE_LAMBDA)
             batch_obs.append(obs_raw)
             batch_act.append(acts)
             batch_logp.append(logps)
@@ -315,10 +317,10 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
 
         # -- optimization -----------------------------------------------------
         pi_losses, v_losses = [], []
-        for _ in range(cfg.epochs):
+        for _ in range(EPOCHS):
             order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
+            for start in range(0, n, BATCH_SIZE):
+                idx = order[start : start + BATCH_SIZE]
                 x, a, lp_old, ad, rt = xs[idx], acts[idx], logp_old[idx], adv[idx], rets[idx]
                 b = x.shape[0]
                 mu, cache_p = policy.net.forward(x)
@@ -327,25 +329,25 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
                 logp = -0.5 * (z * z).sum(axis=1) - policy.log_std.sum() - 0.5 * LOG_2PI * a.shape[1]
                 ratio = np.exp(logp - lp_old)
                 unclipped = ratio * ad
-                clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * ad
+                clipped = np.clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * ad
                 use_unclipped = unclipped <= clipped
                 pi_loss = -np.minimum(unclipped, clipped).mean()
                 # dL/dlogp, nonzero only where the unclipped branch is active
                 dlogp = np.where(use_unclipped, -ratio * ad, 0.0) / b
                 dmu = dlogp[:, None] * (z / std)
                 dlogstd = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
-                dlogstd -= cfg.entropy_coef  # entropy bonus: dH/dlog_std = 1 per dim
+                dlogstd -= ENTROPY_COEF  # entropy bonus: dH/dlog_std = 1 per dim
                 grads_p = policy.net.backward(cache_p, dmu) + [dlogstd]
-                clip_grad_norm(grads_p, cfg.max_grad_norm)
+                clip_grad_norm(grads_p, MAX_GRAD_NORM)
                 opt_p.step(grads_p)
                 np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX, out=policy.log_std)
 
                 v_pred, cache_v = value.forward(x)
                 v_err = v_pred[:, 0] - rt
                 v_loss = 0.5 * float((v_err * v_err).mean())
-                dv = (cfg.value_coef * v_err / b)[:, None]
+                dv = (VALUE_COEF * v_err / b)[:, None]
                 grads_v = value.backward(cache_v, dv)
-                clip_grad_norm(grads_v, cfg.max_grad_norm)
+                clip_grad_norm(grads_v, MAX_GRAD_NORM)
                 opt_v.step(grads_v)
                 pi_losses.append(pi_loss)
                 v_losses.append(v_loss)
@@ -364,7 +366,7 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
         }
 
         # -- deterministic evaluation and early stopping ------------------------
-        if updates % cfg.eval_every == 0 or env_steps >= cfg.total_steps:
+        if updates % EVAL_EVERY == 0 or env_steps >= cfg.total_steps:
             total, _, success, _ = run_episode(env, policy, obs_norm, rng=None)
             row["eval_reward"] = total
             row["eval_success"] = success
@@ -372,7 +374,7 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
             if best is None or score > best[0]:
                 best = (score, success, copy.deepcopy(policy), copy.deepcopy(obs_norm))
             consecutive = consecutive + 1 if success else 0
-            if consecutive >= cfg.early_stop:
+            if consecutive >= EARLY_STOP:
                 log.append(row)
                 stopped_early = True
                 break

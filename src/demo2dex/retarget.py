@@ -39,8 +39,7 @@ class RetargetError(ValueError):
 
 @dataclass(frozen=True)
 class RetargetWeights:
-    """w_f, w_o and w_s of the objective; the fields are the keys of the
-    `retarget` config section."""
+    """w_f, w_o and w_s of the objective."""
 
     fingertip_weight: float = 1.0
     palm_weight: float = 0.1

@@ -37,31 +37,32 @@ class SimDivergenceError(RuntimeError):
         self.energy = energy
 
 
-@dataclass
+# The control period has one home: every plan is sampled at CONTROL_FREQUENCY
+# and every `SimWorld.step` advances DT, so physics and scoring share a clock.
+CONTROL_FREQUENCY = 120.0  # Hz
+DT = 1.0 / CONTROL_FREQUENCY
+SUBSTEPS = 4
+GRAVITY = (0.0, 0.0, -9.81)
+CONTACT_DAMPING = 50.0  # N s/m
+FRICTION_STIFFNESS = 2e3  # N/m
+FRICTION_DAMPING = 20.0  # N s/m
+DETECT_MARGIN = 2e-3  # m; contacts are tracked slightly before touchdown
+
+
+@dataclass(frozen=True)
 class SimConfig:
-    dt: float = 1.0 / 120.0
-    substeps: int = 4
-    gravity: tuple[float, float, float] = (0.0, 0.0, -9.81)
+    """The `sim` config section: the contact and divergence parameters a task may tune."""
+
     contact_stiffness: float = 5e3  # N/m
-    contact_damping: float = 50.0  # N s/m
     friction_mu: float = 1.0
-    friction_stiffness: float = 2e3
-    friction_damping: float = 20.0
     force_cap: float = 50.0  # per-contact normal force bound
     energy_limit: float = 1e3  # J; beyond this the step raises SimDivergenceError
-    detect_margin: float = 2e-3  # contacts are tracked slightly before touchdown
-    kp: np.ndarray | None = None  # per-joint, filled from the hand if absent
-    kd: np.ndarray | None = None
 
-    def validate(self):
-        if self.dt <= 0 or self.substeps < 1:
-            raise ValueError("dt must be positive and substeps >= 1")
-        if self.contact_stiffness <= 0 or self.friction_stiffness <= 0:
-            raise ValueError("contact stiffnesses must be positive")
+    def __post_init__(self):
+        if self.contact_stiffness <= 0:
+            raise ValueError("contact stiffness must be positive")
         if self.friction_mu < 0:
             raise ValueError("friction coefficient must be nonnegative")
-        if np.any(self.kp <= 0):
-            raise ValueError("kp must be positive on every joint")
 
 
 def default_gains(model: HandModel) -> tuple[np.ndarray, np.ndarray]:
@@ -158,13 +159,9 @@ class SimWorld:
     ):
         self.model = model
         self.geometry = geometry
-        cfg = config or SimConfig()
-        kp, kd = default_gains(model)
-        cfg.kp = np.asarray(kp if cfg.kp is None else cfg.kp, dtype=np.float64)
-        cfg.kd = np.asarray(kd if cfg.kd is None else cfg.kd, dtype=np.float64)
-        cfg.validate()
-        self.config = cfg
-        self.gravity = np.asarray(cfg.gravity, dtype=np.float64)
+        self.config = config or SimConfig()
+        self.kp, self.kd = default_gains(model)  # `track_manipulation` swaps in carry gains
+        self.gravity = np.asarray(GRAVITY, dtype=np.float64)
         self.inertia_body = _body_inertia(geometry)
         self.inertia_body_inv = np.linalg.inv(self.inertia_body)
         # collision primitives flattened once: (link, a_local, b_local, radius)
@@ -203,6 +200,8 @@ class SimWorld:
         other.model = self.model
         other.geometry = self.geometry
         other.config = self.config
+        other.kp = self.kp
+        other.kd = self.kd
         other.gravity = self.gravity
         other.inertia_body = self.inertia_body
         other.inertia_body_inv = self.inertia_body_inv
@@ -234,30 +233,23 @@ class SimWorld:
         pos = self.fkres.link_pos[link]
         return rot @ a + pos, rot @ b + pos, r
 
-    def collision_query(self) -> list[tuple[str, float, np.ndarray, np.ndarray]]:
-        """Signed distance from each distal-phalanx link to the object.
-
-        Returns one entry per fingertip site order: (link name, distance,
-        closest point on the link surface, closest point on the object), with
-        negative distance meaning penetration.
-        """
-        pose = self.object_pose()
-        inv = pose.inverse()
+    def collision_query(self) -> np.ndarray:
+        """Signed distance from each distal-phalanx link to the object, in
+        fingertip site order; negative means penetration."""
+        inv = self.object_pose().inverse()
         out = []
         for link in self.model.distal_links:
             best = None
             for idx in self._distal_prims.get(link, []):
                 a_w, b_w, r = self._prim_world(idx)
-                for pi, piece in enumerate(self.geometry.pieces):
-                    d, p_prim, p_piece, _ = segment_piece_signed(
-                        inv.apply(a_w), inv.apply(b_w), r, piece
-                    )
-                    if best is None or d < best[0]:
-                        best = (d, pose.apply(p_prim), pose.apply(p_piece))
+                for piece in self.geometry.pieces:
+                    d = segment_piece_signed(inv.apply(a_w), inv.apply(b_w), r, piece)[0]
+                    if best is None or d < best:
+                        best = d
             if best is None:
                 raise ValueError(f"distal link '{link}' has no collision primitive")
-            out.append((link, best[0], best[1], best[2]))
-        return out
+            out.append(best)
+        return np.array(out)
 
     def kinetic_energy(self) -> float:
         r = self.rot.as_matrix()
@@ -267,12 +259,11 @@ class SimWorld:
     # -- stepping --------------------------------------------------------------
 
     def _detect(self) -> None:
-        cfg = self.config
         pose = self.object_pose()
         inv = pose.inverse()
-        margin = cfg.detect_margin
+        margin = DETECT_MARGIN
         fresh: dict[tuple, _Contact] = {}
-        dt = cfg.dt
+        dt = DT
         for idx in range(len(self._prims)):
             a_w, b_w, r = self._prim_world(idx)
             link = self._prims[idx][0]
@@ -331,7 +322,7 @@ class SimWorld:
         self._contacts = fresh
 
     def step(self, control) -> WorldState:
-        """Advance one control period (config.dt) under PD position targets."""
+        """Advance one control period, DT, under PD position targets."""
         a = np.asarray(control, dtype=np.float64)
         if a.shape != (self.model.dof,):
             raise ValueError(f"control must have shape ({self.model.dof},)")
@@ -340,23 +331,23 @@ class SimWorld:
         cfg = self.config
         model = self.model
         self._detect()
-        tau_g = model.gravity_torques(self.fkres, cfg.gravity)
-        h = cfg.dt / cfg.substeps
+        tau_g = model.gravity_torques(self.fkres, GRAVITY)
+        h = DT / SUBSTEPS
         mass = self.geometry.mass
         # per key, (contact, point, force) of the last substep with fn > 0,
         # in the order the keys first got there
         touched: dict[tuple, tuple[_Contact, np.ndarray, np.ndarray]] = {}
-        for _ in range(cfg.substeps):
+        for _ in range(SUBSTEPS):
             force = mass * self.gravity
             torque = np.zeros(3)
             tau_react = np.zeros(model.dof)
             # damping handled implicitly: an explicit damper with h*c/m > 2
             # injects energy instead of removing it, so the coefficients are
             # conditioned on the per-contact mass share before use
-            active = sum(1 for c in self._contacts.values() if c.pen > -cfg.detect_margin)
+            active = sum(1 for c in self._contacts.values() if c.pen > -DETECT_MARGIN)
             m_eff = mass / max(active, 1)
-            cn_eff = cfg.contact_damping / (1.0 + h * cfg.contact_damping / m_eff)
-            ct_eff = cfg.friction_damping / (1.0 + h * cfg.friction_damping / m_eff)
+            cn_eff = CONTACT_DAMPING / (1.0 + h * CONTACT_DAMPING / m_eff)
+            ct_eff = FRICTION_DAMPING / (1.0 + h * FRICTION_DAMPING / m_eff)
             for key, c in self._contacts.items():
                 p_o = self.rot.apply(c.p_obj_local - self.geometry.com) + self.com_w
                 r_vec = p_o - self.com_w
@@ -370,18 +361,18 @@ class SimWorld:
                 fn = cfg.contact_stiffness * pen - cn_eff * vn
                 fn = min(max(fn, 0.0), cfg.force_cap)
                 f_vec = np.zeros(3)
-                if pen > -cfg.detect_margin:
+                if pen > -DETECT_MARGIN:
                     # tangential anchor spring with Coulomb cap
                     offset = (p_o - c.p_other) - c.anchor
                     u_t = offset - (offset @ c.normal) * c.normal
                     v_t = v_rel - vn * c.normal
-                    f_t = -cfg.friction_stiffness * u_t - ct_eff * v_t
+                    f_t = -FRICTION_STIFFNESS * u_t - ct_eff * v_t
                     limit = cfg.friction_mu * fn
                     mag = math.sqrt(f_t.dot(f_t))
                     if mag > limit:
                         f_t = f_t * (limit / mag) if mag > 0 else f_t * 0.0
                         # slide the anchor so the spring matches the clamped force
-                        u_new = -f_t / cfg.friction_stiffness
+                        u_new = -f_t / FRICTION_STIFFNESS
                         c.anchor = (p_o - c.p_other) - u_new
                     f_vec = fn * c.normal + f_t
                     force += f_vec
@@ -393,7 +384,7 @@ class SimWorld:
                 # relinearize penetration for the next substep
                 c.pen = pen - h * vn
             # hand joints: PD servo with reaction and gravity load
-            qacc = cfg.kp * (a - self.q) - cfg.kd * self.qdot + tau_react - tau_g
+            qacc = self.kp * (a - self.q) - self.kd * self.qdot + tau_react - tau_g
             self.qdot = self.qdot + h * qacc
             self.q = self.q + h * self.qdot
             below = self.q < model.limits_lo

@@ -464,48 +464,10 @@ def lift_box_config_dict() -> dict:
         "name": "lift_box_toy",
         "hand": "toy3",
         "demo": "lift_box",
-        "control_frequency": 120.0,
-        "retarget": {"fingertip_weight": 1.0, "palm_weight": 0.1, "smooth_weight": 0.05},
-        # delta_max doubles as a squeeze governor: saturated finger residuals
-        # land in the narrow force window that holds the box without crushing
-        # it out of the pinch, so any sufficiently positive action grips
-        "rescale": {"wrist_rho": [0.05, 0.05, 0.05, 0.3, 0.3, 0.3], "delta_max": 0.08},
-        # threshold mode enters the episode early in the hover, leaving settle
-        # time for the policy to close before the demo starts moving
-        "pregrasp": {"guide_finger": 0, "mode": "threshold", "threshold": 0.016},
-        "reward": {
-            "epsilon": 0.06,
-            "phi": 0.002,
-            "alpha": [10.0, 10.0, 20.0],
-            "grasp_weights": [0.5, 0.5],
-        },
-        "episode": {"grace_steps": 90, "goal_deviation": 0.1, "success_radius": 0.05},
-        "rl": {
-            "hidden": [64, 64],
-            "total_steps": 56000,
-            "episodes_per_update": 4,
-            "epochs": 4,
-            "batch_size": 64,
-            "gamma": 0.995,
-            "gae_lambda": 0.95,
-            "clip": 0.3,
-            "lr": 3e-4,
-            "entropy_coef": 0.003,
-            "value_coef": 0.5,
-            "max_grad_norm": 10.0,
-            "action_std": 0.2,
-            "eval_every": 2,
-            "early_stop": 3,
-        },
+        "rl": {"total_steps": 56000},
         # softer contacts, a low force cap, and grippy pads widen the range of
         # residuals that hold the box without crushing it out of the pinch
         "sim": {"contact_stiffness": 1000.0, "force_cap": 4.0, "friction_mu": 1.5},
-        "metrics": {
-            "drop_steps": 24,
-            "hold_steps": 60,
-            "success_radius": 0.05,
-            "tsr_threshold": 0.3,
-        },
     }
 
 

@@ -13,7 +13,6 @@ so the squeeze that is holding the object is preserved verbatim.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -22,9 +21,9 @@ import numpy as np
 from .demo import DemoSequence
 from .geometry import Pose6
 from .hand import HandModel
-from .simworld import SimDivergenceError, SimWorld, WorldState
+from .simworld import SimDivergenceError, SimWorld, WorldState, default_gains
 
-DROP_STEPS = 30  # control steps without any hand contact that count as a drop
+DROP_STEPS = 24  # control steps without any hand contact that count as a drop
 WRIST_GAIN_SCALE = 2.0
 
 
@@ -128,10 +127,10 @@ def track_manipulation(
     control steps; tracking still runs to the end so the executed trajectory
     stays comparable against the recording.
     """
-    cfg = dataclasses.replace(world.config, kp=world.config.kp.copy(), kd=world.config.kd.copy())
-    cfg.kp[:6] *= WRIST_GAIN_SCALE
-    cfg.kd[:6] *= WRIST_GAIN_SCALE
-    world.config = cfg
+    kp, kd = default_gains(world.model)
+    kp[:6] *= WRIST_GAIN_SCALE
+    kd[:6] *= WRIST_GAIN_SCALE
+    world.kp, world.kd = kp, kd
     records: list[WorldState] = []
     free_streak = 0
     dropped = False

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from demo2dex.adapt import (
+    DELTA_MAX,
     DIVERGENCE_PENALTY,
-    GRACE_STEPS,
+    EPSILON,
     ActionRescaler,
     AdaptError,
     EpisodeSpec,
     GraspEnv,
     MappedContact,
-    RewardConstants,
     compute_reward,
     find_goal_frame,
     map_contacts,
@@ -23,7 +23,6 @@ from demo2dex.retarget import ControlPlan, fit_smooth_trajectory
 from demo2dex.simworld import SimConfig, SimWorld
 
 RNG = np.random.default_rng(31)
-CONSTS = RewardConstants()
 
 
 def reward_args(
@@ -51,7 +50,6 @@ def reward_args(
         object_z0=z0,
         target_pose=Pose6(np.asarray(target_pos, dtype=np.float64), target_rot or Rotation3.identity()),
         mapped=mapped,
-        consts=CONSTS,
         d_closest=d_closest,
     )
 
@@ -83,7 +81,7 @@ def test_enclosure_gates_grasp_term():
     assert total == pytest.approx(10.0 * comp["r_approach"] + 10.0 * comp["r_grasp"])
     # one tip drifts past epsilon: same contact geometry pays nothing
     args = reward_args(
-        tips=[[0.01, 0, 0], [0.0, CONSTS.epsilon + 1e-6, 0]],
+        tips=[[0.01, 0, 0], [0.0, EPSILON + 1e-6, 0]],
         contacts=[[0, 0, 0], [0, 0, 0]],
         distal=[0.001, 0.1],
     )
@@ -219,7 +217,7 @@ class TestActionRescaler:
         base = toy_hand.mid_range()
         out = rs.residual(base, np.full(toy_hand.dof, 100.0))
         moved = rs.encode(out, base) - rs.encode(base, base)
-        assert np.all(np.abs(moved) <= rs.delta_max + 1e-9)
+        assert np.all(np.abs(moved) <= DELTA_MAX + 1e-9)
         # and within the wrist box regardless of the residual's size
         assert np.all(np.abs(out[:6] - base[:6]) <= rs.rho + 1e-12)
 
@@ -264,7 +262,7 @@ def small_env(toy_hand, lift_demo) -> GraspEnv:
         pregrasp_step=0, goal_step=5, horizon=10, target_pose=lift_demo.object_poses[-1]
     )
     world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q0, lift_demo.object_poses[0])
-    return GraspEnv(world, plan, episode, GUIDE_MAP, ActionRescaler(toy_hand))
+    return GraspEnv(world, plan, episode, GUIDE_MAP)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -319,7 +317,7 @@ def test_select_pregrasp_skips_contact_steps():
 def test_select_pregrasp_threshold_mode():
     dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.01, 0.01]
     recs = fake_records(dists, [False] * 9)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, mode="threshold", threshold=0.06)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP, threshold=0.06)
     assert idx == 3  # first contact-free step under the threshold
     assert warnings == []
 
@@ -327,7 +325,7 @@ def test_select_pregrasp_threshold_mode():
 def test_select_pregrasp_threshold_fallback_warns():
     dists = [0.5, 0.3, 0.1]
     recs = fake_records(dists, [False] * 3)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, mode="threshold", threshold=0.01)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP, threshold=0.01)
     assert idx == 2  # nearest fallback
     assert len(warnings) == 1 and "falling back" in warnings[0]
 
@@ -336,12 +334,6 @@ def test_select_pregrasp_all_touching_raises():
     recs = fake_records([0.1, 0.05], [True, True])
     with pytest.raises(AdaptError):
         select_pregrasp(recs, GUIDE_MAP)
-
-
-def test_select_pregrasp_unknown_mode_raises():
-    recs = fake_records([0.1, 0.05], [False, False])
-    with pytest.raises(AdaptError):
-        select_pregrasp(recs, GUIDE_MAP, mode="sideways")
 
 
 def test_find_goal_frame_on_bundled_demo(lift_demo):

@@ -47,8 +47,7 @@ def test_point_jacobian_matches_finite_differences(hand_name):
         q = model.clamp(RNG.uniform(-0.7, 0.7, model.dof))
         fk = model.fk(q)
         for i, site in enumerate(model.fingertip_sites):
-            p = fk.site_pos[site.name]
-            jac = model.point_jacobian(fk, site.link, p)
+            jac = model.point_jacobian(fk, site.link, fk.sites[i])
             num = numeric_point_jacobian(model, q, i)
             assert np.max(np.abs(jac - num)) < 1e-5
 
@@ -82,9 +81,10 @@ def reference_point_jacobian(model, fk, link, p):
 
 def reference_palm_normal_jacobian(model, fk):
     """Palm normal and its jacobian from batched `np.cross` calls."""
-    p_i, p_r, p_w = (fk.site_pos[s.name] for s in model.palm_sites)
+    palm = fk.sites[len(model.fingertip_sites):]
+    p_i, p_r, p_w = palm
     j_i, j_r, j_w = (
-        reference_point_jacobian(model, fk, s.link, fk.site_pos[s.name]) for s in model.palm_sites
+        reference_point_jacobian(model, fk, s.link, p) for s, p in zip(model.palm_sites, palm)
     )
     e1, e2 = p_i - p_w, p_r - p_w
     de1, de2 = j_i - j_w, j_r - j_w
@@ -196,14 +196,14 @@ def assert_matches_per_joint_reference(model, q):
         assert fk.link_pos[name].tobytes() == link_pos[name].tobytes(), name
     assert fk.joint_axis_w.tobytes() == axis_w.tobytes()
     assert fk.joint_pos_w.tobytes() == pos_w.tobytes()
-    assert list(fk.site_pos) == list(site_pos)
-    for name in site_pos:
-        assert fk.site_pos[name].tobytes() == site_pos[name].tobytes(), name
-    sjac = model.site_jacobians(fk)
     sites = model.fingertip_sites + model.palm_sites
+    assert fk.sites.shape == (len(sites), 3)
+    for k, site in enumerate(sites):
+        assert fk.sites[k].tobytes() == site_pos[site.name].tobytes(), site.name
+    sjac = model.site_jacobians(fk)
     assert sjac.shape == (len(sites), 3, model.dof)
     for k, site in enumerate(sites):
-        want = model.point_jacobian(fk, site.link, fk.site_pos[site.name])
+        want = model.point_jacobian(fk, site.link, fk.sites[k])
         assert sjac[k].tobytes() == want.tobytes(), site.name
     # equal in value: the reference's `np.cross` hands BLAS a transposed
     # layout, which at subnormal inputs can round a zero to -0.0 differently

@@ -84,34 +84,43 @@ def test_stale_metrics_behind_a_matching_manifest_are_recomputed(toy3_config, to
     )
 
 
-def test_misspelled_config_key_raises(toy3_config, tmp_path, monkeypatch):
-    # the top-level keys, and each config section against the parameters of
-    # its owner, are checked before any stage runs, so no misspelled key costs
-    # a retargeting pass or silently falls back to a default
-    def no_retarget(*args, **kwargs):
-        raise AssertionError("retargeting ran before the config was checked")
+def no_retarget(*args, **kwargs):
+    raise AssertionError("retargeting ran before the config was checked")
 
+
+def test_misspelled_config_key_raises(toy3_config, tmp_path, monkeypatch):
+    # the top-level keys, and each config section against the fields of its
+    # owner, are checked before any stage runs, so no misspelled key costs a
+    # retargeting pass or silently falls back to a default
     monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
-    for section, key in [
-        ("sim", "friction_mu"),
-        ("rescale", "delta_max"),
-        ("reward", "epsilon"),
-        ("retarget", "palm_weight"),
-        ("metrics", "hold_steps"),
-        ("episode", "grace_steps"),
-        ("pregrasp", "threshold"),
-        ("rl", "total_steps"),
-    ]:
+    for section, key in [("sim", "friction_mu"), ("rl", "total_steps")]:
         config = copy.deepcopy(toy3_config)
         typo = key[:-1]
         config[section][typo] = config[section].pop(key)
         with pytest.raises(TypeError, match=typo):
             run_transfer(config, tmp_path, no_rl=True)
-    for key, typo in [("sim", "simm"), ("control_frequency", "control_frequncy")]:
-        config = copy.deepcopy(toy3_config)
-        config[typo] = config.pop(key)
-        with pytest.raises(TypeError, match=typo):
-            run_transfer(config, tmp_path, no_rl=True)
+    config = copy.deepcopy(toy3_config)
+    config["simm"] = config.pop("sim")
+    with pytest.raises(TypeError, match="simm"):
+        run_transfer(config, tmp_path, no_rl=True)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "reward", {"epsilon": 0.06}),
+    (None, "control_frequency", 120.0),
+    (None, "metrics", {"hold_steps": 60}),
+    ("sim", "substeps", 4),
+    ("sim", "kp", [150.0] * 9),
+    ("rl", "hidden", [64, 64]),
+])
+def test_removed_config_key_raises(toy3_config, tmp_path, monkeypatch, section, key, value):
+    # a config written for the settings that are now module constants names
+    # the first key it may no longer set, before any stage runs
+    monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
+    config = copy.deepcopy(toy3_config)
+    (config if section is None else config[section])[key] = value
+    with pytest.raises(TypeError, match=key):
+        run_transfer(config, tmp_path, no_rl=True)
 
 
 def test_parallel_sweep_matches_the_serial_run(toy3_config, toy3_run, tmp_path):
@@ -121,3 +130,44 @@ def test_parallel_sweep_matches_the_serial_run(toy3_config, toy3_run, tmp_path):
     assert sorted(p.name for p in seed0.iterdir()) == sorted(p.name for p in toy3_run.run_dir.iterdir())
     for p in seed0.iterdir():
         assert p.read_bytes() == (toy3_run.run_dir / p.name).read_bytes(), p.name
+
+
+def test_code_change_recomputes_the_run(toy3_config, toy3_run, tmp_path, monkeypatch):
+    run_dir = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, run_dir)
+    assert run_transfer(toy3_config, tmp_path, no_rl=True).cached
+    monkeypatch.setattr(pipeline, "code_sha256", lambda: "0" * 64)
+    res = run_transfer(toy3_config, tmp_path, no_rl=True)
+    assert not res.cached
+    assert load_json(run_dir / "manifest.json")["code_sha256"] == "0" * 64
+    # the code hash lives in the manifest only: the metrics bytes stay the same
+    assert (run_dir / "metrics.json").read_bytes() == (toy3_run.run_dir / "metrics.json").read_bytes()
+    assert run_transfer(toy3_config, tmp_path, no_rl=True).cached
+
+
+def recorded_trajectory(demo, poses, dropped):
+    """A trajectory record at the recording's own rate, the episode ending at
+    frame 210, with the object at `poses`."""
+    return {
+        "frequency": demo.fps,
+        "poses": [pipeline._pose_row(p) for p in poses],
+        "prefix_len": 1,
+        "grasp_len": 210,
+        "manip_len": len(poses) - 211,
+        "dropped": dropped,
+        "diverged": False,
+        "target_pos": demo.object_poses[210].pos.tolist(),
+    }
+
+
+def test_follow_requires_the_object_held(lift_demo):
+    # the box follows the recording: held at the goal, and followed unless dropped
+    traj = recorded_trajectory(lift_demo, lift_demo.object_poses, dropped=False)
+    report = pipeline._score(traj, lift_demo)
+    assert report.sr_grasp and report.sr_follow
+    traj["dropped"] = True
+    assert not pipeline._score(traj, lift_demo).sr_follow
+    # the box never leaves the table: nothing was dropped, and nothing followed
+    resting = [lift_demo.object_poses[0]] * lift_demo.length
+    report = pipeline._score(recorded_trajectory(lift_demo, resting, dropped=False), lift_demo)
+    assert not report.sr_grasp and not report.sr_follow

@@ -13,7 +13,9 @@ from demo2dex.ppo import (
     clip_grad_norm,
     compute_gae,
     run_episode,
+    train_residual_policy,
 )
+from demo2dex.jsonio import canonical_dumps
 
 
 def gae_oracle(rewards, values, gamma, lam):
@@ -267,6 +269,33 @@ class TestRunEpisode:
 
 
 def test_train_config_rejects_unknown_key():
-    with pytest.raises(TypeError):
-        TrainConfig(warp_speed=9)
-    assert TrainConfig(hidden=[8, 8]).hidden == (8, 8)  # a JSON list becomes a tuple
+    # the training budget is the only `rl` setting; the rest are constants
+    with pytest.raises(TypeError, match="lr"):
+        TrainConfig(lr=3e-4)
+    assert TrainConfig(total_steps=600).total_steps == 600
+
+
+class _UnsolvedEnv(_CountdownEnv):
+    """The countdown without success, so training spends its whole budget."""
+
+    def step(self, action):
+        obs, reward, done, _ = super().step(action)
+        return obs, reward, done, {"success": False}
+
+
+def test_training_is_reproducible_per_seed():
+    def train(seed):
+        res = train_residual_policy(_UnsolvedEnv(), TrainConfig(total_steps=60), seed)
+        return [canonical_dumps(row) for row in res.log], canonical_dumps(res.policy_dict()), res
+
+    log0, policy0, res = train(0)
+    assert (res.updates, res.env_steps, res.stopped_early) == (3, 60, False)
+    assert [row.get("eval_success") for row in res.log[1:]] == [None, False, False]
+    assert train(0)[:2] == (log0, policy0)
+    log1, policy1, _ = train(1)
+    assert log1[1:] != log0[1:] and policy1 != policy0
+    # the header pins the settings that the bundled config's `rl` section used to set
+    assert res.log[0] == {
+        "type": "header", "gamma": 0.995, "clip": 0.3, "batch_size": 64, "gae_lambda": 0.95,
+        "lr": 3e-4, "hidden": [64, 64], "entropy_coef": 0.003, "action_std": 0.2, "seed": 0,
+    }

@@ -16,7 +16,7 @@ def fk_frame(model, q) -> np.ndarray:
     fk = model.fk(q)
     tips = np.zeros((HUMAN_FINGERS, 3))
     for finger, site in model.correspondence.items():
-        tips[finger] = fk.site_pos[site]
+        tips[finger] = fk.sites[model.fingertip_order[site]]
     return np.concatenate([tips.ravel(), model.palm_normal(fk)])
 
 

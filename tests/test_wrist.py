@@ -220,13 +220,16 @@ class TestTrackManipulation:
 
     def test_wrist_gains_doubled_for_carry(self):
         model, world = falling_box_world()
-        kp0 = np.asarray(world.config.kp, dtype=np.float64).copy()
-        kd0 = np.asarray(world.config.kd, dtype=np.float64).copy()
+        kp0, kd0 = world.kp.copy(), world.kd.copy()
+        clone = world.clone()
         track_manipulation(world, hold_plan(model, 2), drop_steps=5)
-        np.testing.assert_allclose(world.config.kp[:6], 2.0 * kp0[:6])
-        np.testing.assert_allclose(world.config.kd[:6], 2.0 * kd0[:6])
-        np.testing.assert_allclose(world.config.kp[6:], kp0[6:])
-        np.testing.assert_allclose(world.config.kd[6:], kd0[6:])
+        np.testing.assert_allclose(world.kp[:6], 2.0 * kp0[:6])
+        np.testing.assert_allclose(world.kd[:6], 2.0 * kd0[:6])
+        np.testing.assert_allclose(world.kp[6:], kp0[6:])
+        np.testing.assert_allclose(world.kd[6:], kd0[6:])
+        # a clone taken before the carry keeps the grasp gains
+        np.testing.assert_array_equal(clone.kp, kp0)
+        np.testing.assert_array_equal(clone.kd, kd0)
 
     def test_divergence_truncates_and_flags(self):
         cfg = SimConfig(energy_limit=1e-6)
