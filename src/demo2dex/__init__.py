@@ -12,7 +12,7 @@ from .hand import HandModel, load_hand
 from .metrics import MetricReport, dtw_normalized, encode_semantics, tsr
 from .pipeline import VERSION as __version__
 from .pipeline import evaluate_run, run_sweep, run_transfer
-from .retarget import ControlPlan, RetargetWeights, retarget_frame, retarget_sequence
+from .retarget import ControlPlan, retarget_frame, retarget_sequence
 from .simworld import SimConfig, SimWorld, replay
 from .wrist import plan_wrist, track_manipulation
 
@@ -24,7 +24,6 @@ __all__ = [
     "HandModel",
     "MetricReport",
     "Pose6",
-    "RetargetWeights",
     "Rotation3",
     "SimConfig",
     "SimWorld",

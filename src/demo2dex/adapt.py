@@ -75,40 +75,34 @@ def map_contacts(contacts: ContactSet, model: HandModel) -> list[MappedContact]:
 class ActionRescaler:
     """Maps normalized actions in [-1, 1]^D to joint-space PD targets.
 
-    Wrist coordinates (the first six joints of a floating-base hand) are
-    offsets around the current primary target with per-axis half-ranges rho;
+    Wrist coordinates (the first six joints, the floating base) are offsets
+    around the current primary target with per-axis half-ranges WRIST_RHO;
     finger coordinates map affinely onto their joint limits. Residuals are
     added in the normalized box, clipped there, then decoded, so executed
     targets can never leave the box no matter what the policy outputs.
     """
 
     def __init__(self, model: HandModel):
-        self.n_wrist = 6 if model.floating_base else 0
         self.rho = np.asarray(WRIST_RHO, dtype=np.float64)
         self.lo = model.limits_lo.copy()
         self.hi = model.limits_hi.copy()
-        self._f = slice(self.n_wrist, model.dof)
 
     def encode(self, targets: np.ndarray, base: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=np.float64)
         base = np.asarray(base, dtype=np.float64)
         a = np.empty_like(targets)
-        w = self.n_wrist
-        if w:
-            a[:w] = (targets[:w] - base[:w]) / self.rho
-        lo, hi = self.lo[self._f], self.hi[self._f]
-        a[self._f] = 2.0 * (targets[self._f] - lo) / (hi - lo) - 1.0
+        a[:6] = (targets[:6] - base[:6]) / self.rho
+        lo, hi = self.lo[6:], self.hi[6:]
+        a[6:] = 2.0 * (targets[6:] - lo) / (hi - lo) - 1.0
         return a
 
     def decode(self, a: np.ndarray, base: np.ndarray) -> np.ndarray:
         a = np.clip(np.asarray(a, dtype=np.float64), -1.0, 1.0)
         base = np.asarray(base, dtype=np.float64)
         out = np.empty_like(a)
-        w = self.n_wrist
-        if w:
-            out[:w] = base[:w] + a[:w] * self.rho
-        lo, hi = self.lo[self._f], self.hi[self._f]
-        out[self._f] = lo + 0.5 * (a[self._f] + 1.0) * (hi - lo)
+        out[:6] = base[:6] + a[:6] * self.rho
+        lo, hi = self.lo[6:], self.hi[6:]
+        out[6:] = lo + 0.5 * (a[6:] + 1.0) * (hi - lo)
         return np.clip(out, self.lo, self.hi)
 
     def residual(self, base: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -147,44 +141,37 @@ def find_goal_frame(demo: DemoSequence) -> tuple[int, list[str]]:
     ]
 
 
-def select_pregrasp(
-    records: list[WorldState],
-    mapped: list[MappedContact],
-    threshold: float | None = None,
-) -> tuple[int, list[str]]:
+def select_pregrasp(records: list[WorldState], mapped: list[MappedContact]) -> tuple[int, list[str]]:
     """Pick the episode start among contact-free steps of the primary replay.
 
     Every record given is a candidate; the caller replays only the steps
     before the goal. The guide fingertip, GUIDE_FINGER, is measured against its
     own recorded contact point, carried along with the replayed object pose.
-    With a `threshold`, the first step within it is taken; without one, or
-    (with a warning) when no step gets that close, the nearest step.
+    The first step within PREGRASP_THRESHOLD is taken; when no step gets that
+    close, the nearest step, with a warning.
     """
     guide_points = [c.point_obj for c in mapped if c.finger == GUIDE_FINGER]
     if not guide_points:
         raise AdaptError(f"guide finger {GUIDE_FINGER} has no recorded contact")
     point_obj = guide_points[0]
     best, best_d = None, math.inf
-    warnings: list[str] = []
     for t, rec in enumerate(records):
         if rec.hand_contact:
             continue
         c_world = rec.object_pose.apply(point_obj)
         d = float(np.linalg.norm(rec.fingertips[GUIDE_FINGER] - c_world))
-        if threshold is not None and d <= threshold:
-            return t, warnings
+        if d <= PREGRASP_THRESHOLD:
+            return t, []
         # strict improvement beyond a micron: on plateaus of near-equal
         # distance keep the earliest step, leaving settle time before motion
         if d < best_d - 1e-6:
             best, best_d = t, d
     if best is None:
         raise AdaptError("no contact-free step available for pregrasp selection")
-    if threshold is not None:
-        warnings.append(
-            f"no contact-free step within threshold {threshold:.3f} m; "
-            f"falling back to nearest (step {best}, {best_d:.3f} m)"
-        )
-    return best, warnings
+    return best, [
+        f"no contact-free step within threshold {PREGRASP_THRESHOLD:.3f} m; "
+        f"falling back to nearest (step {best}, {best_d:.3f} m)"
+    ]
 
 
 def build_episode(demo: DemoSequence, plan: ControlPlan) -> EpisodeSpec:

@@ -1,9 +1,11 @@
 """Articulated hand description and forward kinematics.
 
-A hand is a rigid-link tree rooted at the wrist. Floating-base hands prepend
-six virtual joints (three prismatic, three revolute) so the wrist pose lives
-in the same joint vector as the fingers: q[:3] is wrist translation in meters,
-q[3:6] wrist rotation in radians, the rest finger angles.
+A hand is a floating-base, massless, position-servoed rigid-link tree rooted
+at the wrist. Its first six joints are virtual (tx, ty, tz prismatic, then
+rx, ry, rz revolute), so the wrist pose lives in the same joint vector as the
+fingers: q[:3] is wrist translation in meters, q[3:6] wrist rotation in
+radians, the rest finger angles. The loader rejects a description that does
+not set `floating_base: true` or that gives a link a positive `mass`.
 
 Results are bitwise reproducible, and the fast paths keep them bitwise equal
 to the plain per-joint formulas. `site_jacobians` and `point_jacobian` are
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,6 @@ class Joint:
 
 @dataclass(frozen=True)
 class CollisionPrim:
-    kind: str  # "sphere" | "capsule"
     a: np.ndarray  # segment start (== end for spheres), link frame
     b: np.ndarray
     radius: float
@@ -67,8 +68,6 @@ class CollisionPrim:
 @dataclass(frozen=True)
 class Link:
     name: str
-    mass: float = 0.0
-    com: np.ndarray = field(default_factory=lambda: np.zeros(3))
     collisions: tuple[CollisionPrim, ...] = ()
 
 
@@ -105,7 +104,6 @@ class HandModel:
         fingertip_sites: list[Site],
         palm_sites: list[Site],
         correspondence: dict[int, str],
-        floating_base: bool,
         palm_normal_sign: float = 1.0,
     ):
         self.name = name
@@ -114,7 +112,6 @@ class HandModel:
         self.fingertip_sites = list(fingertip_sites)
         self.palm_sites = list(palm_sites)
         self.correspondence = dict(correspondence)
-        self.floating_base = bool(floating_base)
         self.palm_normal_sign = float(palm_normal_sign)
         self._validate()
         self._build_tables()
@@ -171,14 +168,8 @@ class HandModel:
         for finger, site in self.correspondence.items():
             if site not in site_names:
                 raise HandModelError(f"correspondence for finger {finger} references unknown site '{site}'")
-        if self.floating_base:
-            if self.dof < 6:
-                raise HandModelError("a floating-base hand needs at least six joints")
-            kinds = [j.jtype for j in self.joints[:6]]
-            if kinds != ["prismatic"] * 3 + ["revolute"] * 3:
-                raise HandModelError(
-                    "floating base must start with three prismatic then three revolute joints"
-                )
+        if [j.jtype for j in self.joints[:6]] != ["prismatic"] * 3 + ["revolute"] * 3:
+            raise HandModelError("a hand must start with three prismatic then three revolute base joints")
 
     def _build_tables(self) -> None:
         self.limits_lo = np.array([j.limits[0] for j in self.joints])
@@ -234,7 +225,6 @@ class HandModel:
             rev, pri = self._chain_cols[s.link]
             self._site_rev[k, 0, rev] = True
             self._site_pri[k, 0, pri] = True
-        self._has_mass = any(l.mass > 0.0 for l in self.links.values())
 
     def chain_of(self, link: str) -> tuple[int, ...]:
         return self._chain[link]
@@ -355,35 +345,10 @@ class HandModel:
         dn = (_EYE3 - n_hat[:, None] * n_hat) @ du / norm_u
         return self.palm_normal_sign * n_hat, self.palm_normal_sign * dn
 
-    # -- statics -------------------------------------------------------------
-
-    def gravity_torques(self, fkres: FKResult, gravity=(0.0, 0.0, -9.81)) -> np.ndarray:
-        """Joint torques that gravity exerts on the link masses (zero for massless hands)."""
-        tau = np.zeros(self.dof)
-        if not self._has_mass:
-            return tau
-        g = np.asarray(gravity, dtype=np.float64)
-        for name, link in self.links.items():
-            if link.mass <= 0.0:
-                continue
-            com_w = fkres.link_rot[name] @ link.com + fkres.link_pos[name]
-            force = link.mass * g
-            for ji in self._chain[name]:
-                j = self.joints[ji]
-                if j.jtype == "revolute":
-                    tau[ji] += np.dot(
-                        cross3(fkres.joint_axis_w[ji], com_w - fkres.joint_pos_w[ji]), force
-                    )
-                else:
-                    tau[ji] += np.dot(fkres.joint_axis_w[ji], force)
-        return tau
-
     # -- wrist helpers --------------------------------------------------------
 
     def wrist_pose(self, fkres: FKResult) -> Pose6:
-        """World pose of the wrist (root) link of a floating-base hand."""
-        if not self.floating_base:
-            raise HandModelError("wrist_pose requires a floating-base hand")
+        """World pose of the wrist (root) link."""
         root = self.joints[5].child
         return Pose6(fkres.link_pos[root], Rotation3.from_matrix(fkres.link_rot[root]))
 
@@ -393,8 +358,6 @@ class HandModel:
         The base chain is tx,ty,tz then rx,ry,rz, so the wrist rotation is the
         intrinsic composition Rx(q3) Ry(q4) Rz(q5).
         """
-        if not self.floating_base:
-            raise HandModelError("wrist_q_from_pose requires a floating-base hand")
         m = pose.rot.as_matrix()
         sy = np.clip(m[0, 2], -1.0, 1.0)
         q4 = np.arcsin(sy)
@@ -418,10 +381,9 @@ def _parse_prim(entry, where: str) -> CollisionPrim:
         raise HandModelError(f"{where}: collision radius must be positive")
     if kind == "sphere":
         c = np.asarray(entry["center"], dtype=np.float64)
-        return CollisionPrim("sphere", c, c.copy(), radius)
+        return CollisionPrim(c, c.copy(), radius)
     if kind == "capsule":
         return CollisionPrim(
-            "capsule",
             np.asarray(entry["a"], dtype=np.float64),
             np.asarray(entry["b"], dtype=np.float64),
             radius,
@@ -430,6 +392,10 @@ def _parse_prim(entry, where: str) -> CollisionPrim:
 
 
 def hand_from_dict(data: dict) -> HandModel:
+    if data.get("floating_base") is not True:
+        raise HandModelError(
+            "hand description must set floating_base: true (six base joints tx, ty, tz, rx, ry, rz)"
+        )
     try:
         link_names = [entry["name"] for entry in data["links"]]
         if len(set(link_names)) != len(link_names):
@@ -439,10 +405,10 @@ def hand_from_dict(data: dict) -> HandModel:
             raise HandModelError("duplicate joint names in hand description")
         links = {}
         for entry in data["links"]:
+            if float(entry.get("mass", 0.0)) > 0.0:
+                raise HandModelError(f"link '{entry['name']}': hands are massless, mass must not be positive")
             links[entry["name"]] = Link(
                 name=entry["name"],
-                mass=float(entry.get("mass", 0.0)),
-                com=np.asarray(entry.get("com", [0.0, 0.0, 0.0]), dtype=np.float64),
                 collisions=tuple(
                     _parse_prim(p, f"link '{entry['name']}'") for p in entry.get("collisions", [])
                 ),
@@ -480,7 +446,6 @@ def hand_from_dict(data: dict) -> HandModel:
         fingertip_sites=fingertip_sites,
         palm_sites=palm_sites,
         correspondence=correspondence,
-        floating_base=bool(data.get("floating_base", False)),
         palm_normal_sign=float(data.get("palm_normal_sign", 1.0)),
     )
 

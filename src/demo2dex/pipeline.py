@@ -27,11 +27,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .adapt import PREGRASP_THRESHOLD, GraspEnv, build_episode, map_contacts, select_pregrasp
+from .adapt import GraspEnv, build_episode, map_contacts, select_pregrasp
 from .demo import DemoSequence, extract_contacts, load_demo
 from .geometry import Pose6, Rotation3
 from .hand import HandModel, load_hand
@@ -49,7 +50,6 @@ from .metrics import (
 from .ppo import TrainConfig, train_residual_policy
 from .retarget import ControlPlan, fit_smooth_trajectory, retarget_sequence, to_control_sequence
 from .simworld import CONTROL_FREQUENCY, SimConfig, SimWorld, replay
-from .synthetic import asset_path
 from .wrist import WristPlanError, plan_wrist, track_manipulation
 
 VERSION = "0.1.0"
@@ -63,6 +63,11 @@ CONFIG_KEYS = frozenset({"name", "hand", "demo", "seed", "sim", "rl"})
 
 class PipelineError(RuntimeError):
     pass
+
+
+def asset_path(*parts) -> Path:
+    """Path of a bundled asset, `assets/<parts...>` inside this package."""
+    return Path(str(resources.files("demo2dex").joinpath("assets", *parts)))
 
 
 def _locate(kind: str, spec) -> Path:
@@ -240,7 +245,7 @@ def run_transfer(
     world = SimWorld(model, demo.geometry, sim_cfg, plan.q_path[0], obj0)
     # the episode starts before the goal step, so the replay stops there
     records, starts = replay(world, plan.a_primary[: episode.goal_step])
-    episode.pregrasp_step, w = select_pregrasp(records, mapped, PREGRASP_THRESHOLD)
+    episode.pregrasp_step, w = select_pregrasp(records, mapped)
     episode.warnings += w
     warnings += episode.warnings
     env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped)

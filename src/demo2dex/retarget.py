@@ -9,8 +9,9 @@ previous frame's solution:
                  + w_o * angle(palm_normal(q), recorded_normal)^2
                  + w_s * ||q - q_prev||^2
 
-The squared palm angle keeps the objective smooth at zero. Joint limits are
-box constraints handled by the solver.
+with w_f = FINGERTIP_WEIGHT, w_o = PALM_WEIGHT and w_s = SMOOTH_WEIGHT. The
+squared palm angle keeps the objective smooth at zero. Joint limits are box
+constraints handled by the solver.
 """
 from __future__ import annotations
 
@@ -31,25 +32,13 @@ MAX_ITER = 200  # L-BFGS-B iterations per solve
 GRAD_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance
 RESTARTS = 2  # random restarts allowed per frame after the warm-started solve
 RESTART_THRESHOLD = 3e-3  # m of mean tip error above which a frame is restarted
+FINGERTIP_WEIGHT = 1.0  # w_f
+PALM_WEIGHT = 0.1  # w_o
+SMOOTH_WEIGHT = 0.05  # w_s; a sequence's first frame has no predecessor and uses 0
 
 
 class RetargetError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RetargetWeights:
-    """w_f, w_o and w_s of the objective."""
-
-    fingertip_weight: float = 1.0
-    palm_weight: float = 0.1
-    smooth_weight: float = 0.05
-
-    def __post_init__(self):
-        if self.fingertip_weight <= 0:
-            raise RetargetError("fingertip weight must be positive")
-        if self.palm_weight < 0 or self.smooth_weight < 0:
-            raise RetargetError("palm and smoothness weights must be nonnegative")
 
 
 @dataclass
@@ -83,7 +72,7 @@ def _mapped_targets(model: HandModel, tips: np.ndarray):
     return out
 
 
-def _objective_terms(model, q, targets, normal_h, q_prev, w):
+def _objective_terms(model, q, targets, normal_h, q_prev, smooth_weight):
     fkres = model.fk(q)
     sjac = model.site_jacobians(fkres)
     grad = np.zeros(model.dof)
@@ -93,31 +82,24 @@ def _objective_terms(model, q, targets, normal_h, q_prev, w):
         r = fkres.sites[k] - target
         e_f += float(r @ r)
         tip_err += math.sqrt(r.dot(r))
-        grad += 2.0 * w.fingertip_weight * (sjac[k].T @ r)
-    e_o = 0.0
-    if w.palm_weight > 0.0:
-        n_r, dn = model.palm_normal_jacobian(fkres, sjac)
-        cos_t = float(np.clip(n_r @ normal_h, -1.0, 1.0))
-        v = cross3(n_r, normal_h)
-        sin_t = math.sqrt(v.dot(v))
-        theta = float(np.arctan2(sin_t, cos_t))
-        e_o = theta * theta
-        # d(theta^2)/dq = -2 (theta / sin theta) * d(cos theta)/dq, smooth at 0
-        factor = theta / sin_t if sin_t > 1e-8 else 1.0
-        grad += w.palm_weight * (-2.0 * factor) * (dn.T @ normal_h)
+        grad += 2.0 * FINGERTIP_WEIGHT * (sjac[k].T @ r)
+    n_r, dn = model.palm_normal_jacobian(fkres, sjac)
+    cos_t = float(np.clip(n_r @ normal_h, -1.0, 1.0))
+    v = cross3(n_r, normal_h)
+    sin_t = math.sqrt(v.dot(v))
+    theta = float(np.arctan2(sin_t, cos_t))
+    e_o = theta * theta
+    # d(theta^2)/dq = -2 (theta / sin theta) * d(cos theta)/dq, smooth at 0
+    factor = theta / sin_t if sin_t > 1e-8 else 1.0
+    grad += PALM_WEIGHT * (-2.0 * factor) * (dn.T @ normal_h)
     dq = q - q_prev
     e_s = float(dq @ dq)
-    grad += 2.0 * w.smooth_weight * dq
-    f = w.fingertip_weight * e_f + w.palm_weight * e_o + w.smooth_weight * e_s
+    grad += 2.0 * smooth_weight * dq
+    f = FINGERTIP_WEIGHT * e_f + PALM_WEIGHT * e_o + smooth_weight * e_s
     return f, grad, tip_err / max(len(targets), 1)
 
 
-def retarget_frame(
-    model: HandModel,
-    h_frame,
-    q_prev,
-    weights: RetargetWeights = RetargetWeights(),
-) -> FrameResult:
+def retarget_frame(model: HandModel, h_frame, q_prev, smooth_weight: float = SMOOTH_WEIGHT) -> FrameResult:
     """Solve one frame. `q_prev` is both the warm start and the smoothing anchor."""
     tips, normal_h = split_hand_frame(h_frame)
     q_prev = np.asarray(q_prev, dtype=np.float64)
@@ -127,7 +109,7 @@ def retarget_frame(
     bounds = list(zip(model.limits_lo, model.limits_hi))
 
     def fun(q):
-        f, g, _ = _objective_terms(model, q, targets, normal_h, q_prev, weights)
+        f, g, _ = _objective_terms(model, q, targets, normal_h, q_prev, smooth_weight)
         return f, g
 
     def solve_from(q0):
@@ -139,7 +121,7 @@ def retarget_frame(
             bounds=bounds,
             options={"maxiter": MAX_ITER, "ftol": 1e-16, "gtol": GRAD_TOL, "maxfun": 4000},
         )
-        _, _, tip_err = _objective_terms(model, res.x, targets, normal_h, q_prev, weights)
+        _, _, tip_err = _objective_terms(model, res.x, targets, normal_h, q_prev, smooth_weight)
         return FrameResult(
             q=res.x,
             objective=float(res.fun),
@@ -168,11 +150,7 @@ class SequenceResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def retarget_sequence(
-    model: HandModel,
-    hand_frames,
-    weights: RetargetWeights = RetargetWeights(),
-) -> SequenceResult:
+def retarget_sequence(model: HandModel, hand_frames) -> SequenceResult:
     """Frame-by-frame solve with warm starting.
 
     The first frame starts from mid-range and has no predecessor, so its
@@ -182,13 +160,11 @@ def retarget_sequence(
     if frames.ndim != 2 or frames.shape[1] != HAND_FRAME_DIM:
         raise RetargetError(f"hand frames must have shape (T, {HAND_FRAME_DIM})")
     q_prev = model.mid_range()
-    first = RetargetWeights(weights.fingertip_weight, weights.palm_weight, 0.0)
     q_path = np.empty((frames.shape[0], model.dof))
     results = []
     warnings = []
     for t in range(frames.shape[0]):
-        w_t = first if t == 0 else weights
-        res = retarget_frame(model, frames[t], q_prev, w_t)
+        res = retarget_frame(model, frames[t], q_prev, 0.0 if t == 0 else SMOOTH_WEIGHT)
         if not res.converged:
             warnings.append(f"frame {t}: solver stopped before convergence")
         q_path[t] = res.q

@@ -2,9 +2,9 @@
 
 Model choices, in order of importance:
 
-* The hand is quasi-static. Links carry no inertia; each joint follows a
-  PD servo with unit reflected inertia, plus reaction torques from contacts
-  and (only if the model declares link masses) gravity load.
+* The hand is quasi-static and massless, so it bears no gravity load. Each
+  joint follows a PD servo with unit reflected inertia, plus reaction torques
+  from contacts.
 * The object is a single dynamic rigid body built from convex pieces, resting
   on the ground plane z = 0, integrated with semi-implicit Euler.
 * Contacts are penalty springs (Kelvin-Voigt normal force, Coulomb-capped
@@ -12,8 +12,8 @@ Model choices, in order of importance:
   once per control step; penetrations are relinearized across substeps.
 * Forward kinematics runs once per simulator state: `SimWorld.fkres` is the
   FK of the current joint vector, set on reset and refreshed once at the end
-  of each step; detection, gravity load and `collision_query` read it, and a
-  clone shares it (an `FKResult` is never modified).
+  of each step; detection and `collision_query` read it, and a clone shares
+  it (an `FKResult` is never modified).
 
 Everything is double precision, sequential, and bitwise deterministic.
 """
@@ -69,9 +69,8 @@ def default_gains(model: HandModel) -> tuple[np.ndarray, np.ndarray]:
     """PD gains per joint: stiff wrist, moderately stiff fingers."""
     kp = np.full(model.dof, 150.0)
     kd = np.full(model.dof, 20.0)
-    if model.floating_base:
-        kp[:3], kd[:3] = 400.0, 40.0
-        kp[3:6], kd[3:6] = 120.0, 16.0
+    kp[:3], kd[:3] = 400.0, 40.0
+    kp[3:6], kd[3:6] = 120.0, 16.0
     return kp, kd
 
 
@@ -196,33 +195,19 @@ class SimWorld:
         return Pose6(self.com_w - self.rot.apply(self.geometry.com), self.rot)
 
     def clone(self) -> "SimWorld":
+        # A step rebinds q, qdot, v, w, com_w, rot and fkres rather than
+        # writing into them; its one in-place write, the joint-limit stop on
+        # qdot, lands on the array made earlier in the same substep. So a clone
+        # shares every array and copies only the containers a step mutates:
+        # each contact (its pen and anchor are rebound) and the primitive
+        # positions dict.
         other = SimWorld.__new__(SimWorld)
-        other.model = self.model
-        other.geometry = self.geometry
-        other.config = self.config
-        other.kp = self.kp
-        other.kd = self.kd
-        other.gravity = self.gravity
-        other.inertia_body = self.inertia_body
-        other.inertia_body_inv = self.inertia_body_inv
-        other._prims = self._prims
-        other._distal_prims = self._distal_prims
-        other.q = self.q.copy()
-        other.qdot = self.qdot.copy()
-        other.rot = self.rot  # immutable
-        other.com_w = self.com_w.copy()
-        other.v = self.v.copy()
-        other.w = self.w.copy()
-        other.step_index = self.step_index
-        other.fkres = self.fkres
+        other.__dict__.update(self.__dict__)
         other._contacts = {
-            k: _Contact(
-                c.p_obj_local.copy(), c.p_other.copy(), c.v_other.copy(), c.normal.copy(),
-                c.pen, c.anchor.copy(), None if c.jac_t is None else c.jac_t.copy(), c.link,
-            )
+            k: _Contact(c.p_obj_local, c.p_other, c.v_other, c.normal, c.pen, c.anchor, c.jac_t, c.link)
             for k, c in self._contacts.items()
         }
-        other._prev_prim_pts = {k: (a.copy(), b.copy()) for k, (a, b) in self._prev_prim_pts.items()}
+        other._prev_prim_pts = dict(self._prev_prim_pts)
         return other
 
     # -- queries -------------------------------------------------------------
@@ -331,7 +316,6 @@ class SimWorld:
         cfg = self.config
         model = self.model
         self._detect()
-        tau_g = model.gravity_torques(self.fkres, GRAVITY)
         h = DT / SUBSTEPS
         mass = self.geometry.mass
         # per key, (contact, point, force) of the last substep with fn > 0,
@@ -383,8 +367,8 @@ class SimWorld:
                     touched[key] = (c, p_o, f_vec)
                 # relinearize penetration for the next substep
                 c.pen = pen - h * vn
-            # hand joints: PD servo with reaction and gravity load
-            qacc = self.kp * (a - self.q) - self.kd * self.qdot + tau_react - tau_g
+            # hand joints: PD servo with contact reaction
+            qacc = self.kp * (a - self.q) - self.kd * self.qdot + tau_react
             self.qdot = self.qdot + h * qacc
             self.q = self.q + h * self.qdot
             below = self.q < model.limits_lo

@@ -12,7 +12,6 @@ Run ``python -m demo2dex.synthetic`` to regenerate the asset files in place.
 from __future__ import annotations
 
 import math
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from .collision import ConvexPiece, segment_piece_signed
 from .geometry import Rotation3
 from .hand import hand_from_dict
 from .jsonio import dump_json
+from .pipeline import asset_path
 
 FPS = 120
 
@@ -46,10 +46,6 @@ PINKY_OFFSET = np.array([-0.12, 0.0, 0.16])
 
 BASE_PRISMATIC_LIMIT = 1.5
 BASE_REVOLUTE_LIMIT = 3.2
-
-
-def asset_path(*parts) -> Path:
-    return Path(str(resources.files("demo2dex").joinpath("assets", *parts)))
 
 
 def _quat(az: float = 0.0, ax: float = 0.0) -> list[float]:

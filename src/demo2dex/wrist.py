@@ -76,8 +76,6 @@ def plan_wrist(
     frame and re-anchored at the executed grasp pose, so a grasp that secured
     the object a little off the recorded pose still follows the same motion.
     """
-    if not model.floating_base:
-        raise WristPlanError("wrist planning requires a floating-base hand")
     if grasp_control.shape != (model.dof,):
         raise WristPlanError(f"grasp control must have shape ({model.dof},)")
     scale = frequency / demo.fps

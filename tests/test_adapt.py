@@ -6,6 +6,7 @@ from demo2dex.adapt import (
     DELTA_MAX,
     DIVERGENCE_PENALTY,
     EPSILON,
+    PREGRASP_THRESHOLD,
     ActionRescaler,
     AdaptError,
     EpisodeSpec,
@@ -298,16 +299,20 @@ def test_one_fk_per_env_step(toy_hand, lift_demo, monkeypatch):
     assert steps == 10
 
 
+T = PREGRASP_THRESHOLD
+
+
 def test_select_pregrasp_nearest_keeps_earliest_on_plateau():
-    dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.0099999, 0.0099998]
+    # no step comes within the threshold, so the nearest one is the fallback
+    dists = [T + 0.5, T + 0.3, T + 0.1, T + 0.05, T + 0.02, T + 0.011, T + 0.01, T + 0.0099999, T + 0.0099998]
     recs = fake_records(dists, [False] * 9)
     idx, warnings = select_pregrasp(recs, GUIDE_MAP)
     assert idx == 6  # sub-micron creep does not move the selection
-    assert warnings == []
+    assert len(warnings) == 1
 
 
 def test_select_pregrasp_skips_contact_steps():
-    dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.005, 0.001]
+    dists = [T + 0.5, T + 0.3, T + 0.1, T + 0.05, T + 0.02, T + 0.011, T + 0.01, T / 2, T / 10]
     contact = [False] * 7 + [True, True]
     recs = fake_records(dists, contact)
     idx, _ = select_pregrasp(recs, GUIDE_MAP)
@@ -315,23 +320,23 @@ def test_select_pregrasp_skips_contact_steps():
 
 
 def test_select_pregrasp_threshold_mode():
-    dists = [0.5, 0.3, 0.1, 0.05, 0.02, 0.011, 0.01, 0.01, 0.01]
-    recs = fake_records(dists, [False] * 9)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, threshold=0.06)
-    assert idx == 3  # first contact-free step under the threshold
+    dists = [T + 0.5, T + 0.3, T + 0.1, T - 0.001, T - 0.005, T / 2, T / 2]
+    recs = fake_records(dists, [False] * 7)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP)
+    assert idx == 3  # first contact-free step within the threshold, not the nearest
     assert warnings == []
 
 
 def test_select_pregrasp_threshold_fallback_warns():
-    dists = [0.5, 0.3, 0.1]
+    dists = [T + 0.5, T + 0.3, T + 0.1]
     recs = fake_records(dists, [False] * 3)
-    idx, warnings = select_pregrasp(recs, GUIDE_MAP, threshold=0.01)
+    idx, warnings = select_pregrasp(recs, GUIDE_MAP)
     assert idx == 2  # nearest fallback
     assert len(warnings) == 1 and "falling back" in warnings[0]
 
 
 def test_select_pregrasp_all_touching_raises():
-    recs = fake_records([0.1, 0.05], [True, True])
+    recs = fake_records([T / 2, T / 4], [True, True])
     with pytest.raises(AdaptError):
         select_pregrasp(recs, GUIDE_MAP)
 

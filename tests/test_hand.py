@@ -263,7 +263,6 @@ def test_fingertip_order_is_stable(toy_hand):
 def test_bundled_hands_load_and_validate(hand_name):
     model, path = resolve_hand(hand_name)
     assert path.exists()
-    assert model.floating_base
     assert model.dof >= 8
     assert len(model.palm_sites) == 3
     # correspondence maps recorded fingers onto existing fingertip sites
@@ -304,38 +303,18 @@ def test_malformed_hand_rejected():
     with pytest.raises(HandModelError):
         hand_from_dict(scaled)
 
+    # every hand floats on six base joints and carries no link mass
+    fixed = planar_hand_dict()
+    fixed["floating_base"] = False
+    with pytest.raises(HandModelError, match="floating_base"):
+        hand_from_dict(fixed)
 
-def test_gravity_torques_zero_for_massless(planar_hand):
-    fk = planar_hand.fk(planar_hand.mid_range())
-    assert np.allclose(planar_hand.gravity_torques(fk), 0.0)
+    undeclared = planar_hand_dict()
+    del undeclared["floating_base"]
+    with pytest.raises(HandModelError, match="floating_base"):
+        hand_from_dict(undeclared)
 
-
-def test_gravity_torques_match_potential_gradient():
-    data = planar_hand_dict()
-    for entry in data["links"]:
-        if entry["name"] in ("prox", "dist"):
-            entry["mass"] = 0.02
-            entry["com"] = [0.0, 0.0, -0.02]
-    model = hand_from_dict(data)
-    g = np.array([0.0, 0.0, -9.81])
-
-    def potential(q):
-        fk = model.fk(q)
-        u = 0.0
-        for link in model.links.values():
-            if link.mass > 0.0:
-                com_w = fk.link_rot[link.name] @ link.com + fk.link_pos[link.name]
-                u -= link.mass * float(g @ com_w)
-        return u
-
-    eps = 1e-7
-    for _ in range(5):
-        q = model.clamp(RNG.uniform(-0.5, 0.5, model.dof))
-        tau = model.gravity_torques(model.fk(q))
-        for k in range(model.dof):
-            qp, qm = q.copy(), q.copy()
-            qp[k] += eps
-            qm[k] -= eps
-            grad_u = (potential(qp) - potential(qm)) / (2 * eps)
-            # the torque gravity exerts is minus the potential gradient
-            assert abs(tau[k] + grad_u) < 1e-5
+    heavy = planar_hand_dict()
+    heavy["links"][-1]["mass"] = 0.02
+    with pytest.raises(HandModelError, match="'dist'.*mass"):
+        hand_from_dict(heavy)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from demo2dex import pipeline
+from demo2dex.hand import HandModelError
 from demo2dex.jsonio import dump_json, load_json
 from demo2dex.pipeline import evaluate_run, run_sweep, run_transfer
 
@@ -103,6 +104,18 @@ def test_misspelled_config_key_raises(toy3_config, tmp_path, monkeypatch):
     config["simm"] = config.pop("sim")
     with pytest.raises(TypeError, match="simm"):
         run_transfer(config, tmp_path, no_rl=True)
+
+
+def test_fixed_base_hand_fails_before_retargeting(toy3_config, tmp_path, monkeypatch):
+    # a hand file that is not floating-base fails at load, not at the wrist
+    # carry after retargeting, replay and training
+    monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
+    data = load_json(pipeline.asset_path("hands", "toy3.json"))
+    data["floating_base"] = False
+    hand = tmp_path / "toy3_fixed.json"
+    dump_json(data, hand)
+    with pytest.raises(HandModelError, match="floating_base"):
+        run_transfer({**toy3_config, "hand": str(hand)}, tmp_path, no_rl=True)
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -5,7 +5,7 @@ import pytest
 from demo2dex.collision import ConvexPiece
 from demo2dex.demo import DemoSequence, ObjectGeometry
 from demo2dex.geometry import Pose6, Rotation3, pose_distance
-from demo2dex.hand import hand_from_dict
+from demo2dex.hand import HandModelError, hand_from_dict
 from demo2dex.simworld import SimConfig, SimWorld
 from demo2dex.synthetic import toy_hand_dict
 from demo2dex.wrist import (
@@ -127,13 +127,12 @@ class TestPlanWrist:
         assert yaw.max() > 3.1  # really did continue past the principal branch
 
     def test_fixed_base_rejected(self):
+        # the wrist is driven through the six floating-base joints, so a
+        # fixed-base hand is refused when it is loaded, before any plan
         data = planar_hand_dict()
         data["floating_base"] = False
-        model = hand_from_dict(data)
-        demo = make_demo([Pose6.identity()] * 10)
-        with pytest.raises(WristPlanError):
-            plan_wrist(model, demo, Pose6.identity(), Pose6.identity(),
-                       model.mid_range(), 2, FPS)
+        with pytest.raises(HandModelError, match="floating_base"):
+            hand_from_dict(data)
 
     def test_bad_control_shape_rejected(self, toy_hand):
         demo = make_demo([Pose6.identity()] * 10)
