@@ -37,7 +37,6 @@ DIVERGENCE_PENALTY = -10.0
 
 # staged reward
 EPSILON = 0.06  # m; contact-enclosure distance bound
-PHI = 0.002  # m; surface proximity that counts as touching
 ALPHA = (10.0, 10.0, 20.0)  # weights of the approach, grasp and lift stages
 GRASP_WEIGHTS = (0.5, 0.5)  # contact count and joint similarity within the grasp stage
 
@@ -209,7 +208,7 @@ def compute_reward(
     q: np.ndarray,
     q_target: np.ndarray,
     fingertips: np.ndarray,
-    distal_distances: np.ndarray,
+    touching: np.ndarray,
     object_pose: Pose6,
     object_z0: float,
     target_pose: Pose6,
@@ -218,8 +217,10 @@ def compute_reward(
 ) -> tuple[float, dict[str, float], float]:
     """Staged grasp reward; returns (total, components, updated d_closest).
 
-    d_closest is the running minimum of the summed fingertip-to-contact
-    distance, initialized on the first call of an episode (pass None).
+    `touching` says, per fingertip, whether its distal link touches the
+    object, as `SimWorld.collision_query` reports it. d_closest is the running
+    minimum of the summed fingertip-to-contact distance, initialized on the
+    first call of an episode (pass None).
     """
     d_sum = 0.0
     enclosed = True
@@ -234,7 +235,6 @@ def compute_reward(
     r_approach = max(d_closest - d_sum, 0.0)
     d_closest = min(d_closest, d_sum)
 
-    touching = distal_distances <= PHI
     r_con = float(np.count_nonzero(touching))
     nq = float(np.linalg.norm(q))
     nt = float(np.linalg.norm(q_target))

@@ -16,11 +16,16 @@ from .pipeline import aggregate, evaluate_run, resolve_config, run_sweep
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Either a comma list ("0,3,7") or a half-open range ("0:20")."""
+    """Either a comma list ("0,3,7") or a half-open range ("0:20"), naming at
+    least one seed."""
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.split(",") if s != ""]
+        seeds = list(range(int(lo), int(hi)))
+    else:
+        seeds = [int(s) for s in spec.split(",") if s != ""]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed spec {spec!r} names no seed")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,16 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the transfer pipeline for a config")
     p_run.add_argument("config", help="bundled config name or path to a config JSON")
     p_run.add_argument("--out", default="runs", help="directory that receives run artifacts")
-    p_run.add_argument("--seed", type=int, default=None, help="single training seed")
-    p_run.add_argument("--seeds", default=None, help="seed sweep, e.g. 0:20 or 0,1,5")
+    p_run.add_argument("--seed", type=int, default=0, help="single training seed")
+    p_run.add_argument("--seeds", type=_parse_seeds, default=None, help="seed sweep, e.g. 0:20 or 0,1,5")
     p_run.add_argument("--no-rl", action="store_true", help="skip residual training (baseline)")
     p_run.add_argument("--force", action="store_true", help="recompute even if cached")
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("DEMO2DEX_WORKERS", "1")),
-        help="parallel processes for seed sweeps (DEMO2DEX_WORKERS)",
-    )
+    p_run.add_argument("--workers", type=int, default=1, help="parallel processes for seed sweeps")
 
     p_eval = sub.add_parser("eval", help="recompute and verify metrics for finished runs")
     p_eval.add_argument("run_dirs", nargs="+", help="run directories to verify")
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config = resolve_config(args.config)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed if args.seed is not None else int(config.get("seed", 0))]
+    seeds = args.seeds or [args.seed]
     rows = run_sweep(
         config, args.out, seeds, no_rl=args.no_rl, force=args.force, workers=args.workers
     )

@@ -164,6 +164,9 @@ class HandModel:
         for s in self.fingertip_sites + self.palm_sites:
             if s.link not in known_links:
                 raise HandModelError(f"site '{s.name}' references unknown link '{s.link}'")
+        for s in self.fingertip_sites:
+            if not self.links[s.link].collisions:
+                raise HandModelError(f"fingertip site '{s.name}': link '{s.link}' has no collision primitive")
         site_names = {s.name for s in self.fingertip_sites}
         for finger, site in self.correspondence.items():
             if site not in site_names:

@@ -8,7 +8,7 @@ metrics, scored from the trajectory record as `evaluate_run` scores it.
 Every stage is deterministic for a given (config, seed), and all artifacts
 are canonical JSON.
 
-A config sets the run's name, hand, recording and seed, the `sim` contact
+A config sets the run's name, hand and recording, the `sim` contact
 parameters (`SimConfig`) and the `rl` training budget (`TrainConfig`); every
 other setting is a module constant, listed in README.md under "Config". Any
 other key raises TypeError before a stage runs.
@@ -55,10 +55,11 @@ from .wrist import WristPlanError, plan_wrist, track_manipulation
 VERSION = "0.1.0"
 log = logging.getLogger("demo2dex")
 
-# the top-level keys of a config: the run's name, inputs and seed, then the
+# the top-level keys of a config: the run's name and inputs, then the
 # sections that `run_transfer` hands to `SimConfig` and `TrainConfig`; every
-# other setting is a module constant (README.md, "Config")
-CONFIG_KEYS = frozenset({"name", "hand", "demo", "seed", "sim", "rl"})
+# other setting is a module constant (README.md, "Config"), and the seed is
+# an argument of the run
+CONFIG_KEYS = frozenset({"name", "hand", "demo", "sim", "rl"})
 
 
 class PipelineError(RuntimeError):
@@ -168,7 +169,7 @@ def _score(traj: dict, demo: DemoSequence) -> MetricReport:
 def run_transfer(
     config: dict,
     out_dir,
-    seed: int | None = None,
+    seed: int = 0,
     no_rl: bool = False,
     force: bool = False,
 ) -> RunResult:
@@ -178,8 +179,10 @@ def run_transfer(
     # config sections go straight to their owners, so a misspelled key raises here
     sim_cfg = SimConfig(**config.get("sim", {}))
     tr_cfg = TrainConfig(**config.get("rl", {}))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     cfg = dict(config)
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     hand_path = _locate("hands", cfg["hand"])
     demo_path = _locate("demos", cfg["demo"])
     hand_sha = sha256_file(hand_path)

@@ -8,12 +8,13 @@ Model choices, in order of importance:
 * The object is a single dynamic rigid body built from convex pieces, resting
   on the ground plane z = 0, integrated with semi-implicit Euler.
 * Contacts are penalty springs (Kelvin-Voigt normal force, Coulomb-capped
-  tangential anchor springs for static friction). Collision detection runs
-  once per control step; penetrations are relinearized across substeps.
-* Forward kinematics runs once per simulator state: `SimWorld.fkres` is the
-  FK of the current joint vector, set on reset and refreshed once at the end
-  of each step; detection and `collision_query` read it, and a clone shares
-  it (an `FKResult` is never modified).
+  tangential anchor springs for static friction). Penetrations are
+  relinearized across substeps.
+* Forward kinematics and collision detection run once per simulator state, on
+  reset and at the end of each step. `SimWorld.fkres` is the FK of the current
+  joint vector, and a clone shares it (an `FKResult` is never modified).
+  Detection reads it and leaves the contacts that the next step integrates;
+  `collision_query` reads those contacts and queries no geometry.
 
 Everything is double precision, sequential, and bitwise deterministic.
 """
@@ -168,10 +169,6 @@ class SimWorld:
         for name, link in model.links.items():
             for prim in link.collisions:
                 self._prims.append((name, prim.a, prim.b, prim.radius))
-        self._distal_prims: dict[str, list[int]] = {}
-        for i, (name, *_rest) in enumerate(self._prims):
-            if name in model.distal_links:
-                self._distal_prims.setdefault(name, []).append(i)
         self.reset(
             q0 if q0 is not None else model.mid_range(),
             object_pose0 if object_pose0 is not None else Pose6.identity(),
@@ -190,6 +187,7 @@ class SimWorld:
         self.fkres = self.model.fk(self.q)
         self._contacts: dict[tuple, _Contact] = {}
         self._prev_prim_pts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._detect()
 
     def object_pose(self) -> Pose6:
         return Pose6(self.com_w - self.rot.apply(self.geometry.com), self.rot)
@@ -212,29 +210,13 @@ class SimWorld:
 
     # -- queries -------------------------------------------------------------
 
-    def _prim_world(self, idx):
-        link, a, b, r = self._prims[idx]
-        rot = self.fkres.link_rot[link]
-        pos = self.fkres.link_pos[link]
-        return rot @ a + pos, rot @ b + pos, r
-
     def collision_query(self) -> np.ndarray:
-        """Signed distance from each distal-phalanx link to the object, in
-        fingertip site order; negative means penetration."""
-        inv = self.object_pose().inverse()
-        out = []
-        for link in self.model.distal_links:
-            best = None
-            for idx in self._distal_prims.get(link, []):
-                a_w, b_w, r = self._prim_world(idx)
-                for piece in self.geometry.pieces:
-                    d = segment_piece_signed(inv.apply(a_w), inv.apply(b_w), r, piece)[0]
-                    if best is None or d < best:
-                        best = d
-            if best is None:
-                raise ValueError(f"distal link '{link}' has no collision primitive")
-            out.append(best)
-        return np.array(out)
+        """Whether each distal-phalanx link, in fingertip site order, has a
+        hand contact in the current detection: some primitive of it lies
+        within DETECT_MARGIN of the object. A pair the broad phase skips is
+        farther apart than the margin, so no pair is missed."""
+        touching = {c.link for key, c in self._contacts.items() if key[0] == "h"}
+        return np.array([link in touching for link in self.model.distal_links], dtype=bool)
 
     def kinetic_energy(self) -> float:
         r = self.rot.as_matrix()
@@ -249,9 +231,10 @@ class SimWorld:
         margin = DETECT_MARGIN
         fresh: dict[tuple, _Contact] = {}
         dt = DT
-        for idx in range(len(self._prims)):
-            a_w, b_w, r = self._prim_world(idx)
-            link = self._prims[idx][0]
+        for idx, (link, a, b, r) in enumerate(self._prims):
+            rot = self.fkres.link_rot[link]
+            pos = self.fkres.link_pos[link]
+            a_w, b_w = rot @ a + pos, rot @ b + pos
             mid = 0.5 * (a_w + b_w)
             seg = b_w - a_w
             half_len = 0.5 * math.sqrt(seg.dot(seg))
@@ -307,7 +290,8 @@ class SimWorld:
         self._contacts = fresh
 
     def step(self, control) -> WorldState:
-        """Advance one control period, DT, under PD position targets."""
+        """Advance one control period, DT, under PD position targets, then
+        detect the contacts of the new state."""
         a = np.asarray(control, dtype=np.float64)
         if a.shape != (self.model.dof,):
             raise ValueError(f"control must have shape ({self.model.dof},)")
@@ -315,7 +299,6 @@ class SimWorld:
             raise ValueError("control has non-finite entries")
         cfg = self.config
         model = self.model
-        self._detect()
         h = DT / SUBSTEPS
         mass = self.geometry.mass
         # per key, (contact, point, force) of the last substep with fn > 0,
@@ -392,6 +375,7 @@ class SimWorld:
         energy = self.kinetic_energy()
         if energy > cfg.energy_limit:
             raise SimDivergenceError(self.step_index, energy)
+        self._detect()
         tips = model.fingertip_positions(self.fkres)
         contacts = [
             ContactRecord(

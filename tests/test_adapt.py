@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from demo2dex import simworld
 from demo2dex.adapt import (
     DELTA_MAX,
     DIVERGENCE_PENALTY,
@@ -31,7 +32,7 @@ def reward_args(
     contacts,
     q=None,
     q_target=None,
-    distal=None,
+    touching=None,
     obj_pos=(0.0, 0.0, 0.0),
     obj_rot=None,
     target_pos=(0.0, 0.0, 0.1),
@@ -46,7 +47,7 @@ def reward_args(
         q=np.asarray(q if q is not None else [1.0, 0.0], dtype=np.float64),
         q_target=np.asarray(q_target if q_target is not None else [1.0, 0.0], dtype=np.float64),
         fingertips=np.asarray(tips, dtype=np.float64),
-        distal_distances=np.asarray(distal if distal is not None else [1.0] * n),
+        touching=np.asarray(touching if touching is not None else [False] * n, dtype=bool),
         object_pose=Pose6(np.asarray(obj_pos, dtype=np.float64), obj_rot or Rotation3.identity()),
         object_z0=z0,
         target_pose=Pose6(np.asarray(target_pos, dtype=np.float64), target_rot or Rotation3.identity()),
@@ -74,7 +75,7 @@ def test_enclosure_gates_grasp_term():
     args = reward_args(
         tips=[[0.01, 0, 0], [0.0, 0.05, 0]],
         contacts=[[0, 0, 0], [0, 0, 0]],
-        distal=[0.001, 0.1],
+        touching=[True, False],
     )
     total, comp, _ = compute_reward(**args)
     assert comp["enclosed"] == 1.0
@@ -84,7 +85,7 @@ def test_enclosure_gates_grasp_term():
     args = reward_args(
         tips=[[0.01, 0, 0], [0.0, EPSILON + 1e-6, 0]],
         contacts=[[0, 0, 0], [0, 0, 0]],
-        distal=[0.001, 0.1],
+        touching=[True, False],
     )
     total2, comp2, _ = compute_reward(**args)
     assert comp2["enclosed"] == 0.0
@@ -95,13 +96,13 @@ def test_hold_requires_first_distal_plus_another():
     tips = [[0.0, 0, 0], [0.0, 0.01, 0]]
     contacts = [[0, 0, 0], [0, 0.01, 0]]
     # both touching: hold
-    _, comp, _ = compute_reward(**reward_args(tips, contacts, distal=[0.001, 0.001]))
+    _, comp, _ = compute_reward(**reward_args(tips, contacts, touching=[True, True]))
     assert comp["hold"] == 1.0
     # only the second touching: no hold without the first digit
-    _, comp, _ = compute_reward(**reward_args(tips, contacts, distal=[0.1, 0.001]))
+    _, comp, _ = compute_reward(**reward_args(tips, contacts, touching=[False, True]))
     assert comp["hold"] == 0.0
     # only the first: still no hold
-    _, comp, _ = compute_reward(**reward_args(tips, contacts, distal=[0.001, 0.1]))
+    _, comp, _ = compute_reward(**reward_args(tips, contacts, touching=[True, False]))
     assert comp["hold"] == 0.0
 
 
@@ -109,22 +110,22 @@ def test_lift_reward_branches():
     tips = [[0.0, 0, 0], [0.0, 0.01, 0]]
     contacts = [[0, 0, 0], [0, 0.01, 0]]
     # below the height gate: proportional, saturating at 2
-    args = reward_args(tips, contacts, distal=[0.001, 0.001], obj_pos=(0, 0, 0.015))
+    args = reward_args(tips, contacts, touching=[True, True], obj_pos=(0, 0, 0.015))
     _, comp, _ = compute_reward(**args)
     assert comp["r_lift"] == pytest.approx(1.5)
-    args = reward_args(tips, contacts, distal=[0.001, 0.001], obj_pos=(0, 0, 0.02))
+    args = reward_args(tips, contacts, touching=[True, True], obj_pos=(0, 0, 0.02))
     _, comp, _ = compute_reward(**args)
     assert comp["r_lift"] == pytest.approx(2.0)
     # above the gate: pose-tracking branch, max 15 at the target
     args = reward_args(
-        tips, contacts, distal=[0.001, 0.001], obj_pos=(0, 0, 0.1), target_pos=(0, 0, 0.1)
+        tips, contacts, touching=[True, True], obj_pos=(0, 0, 0.1), target_pos=(0, 0, 0.1)
     )
     _, comp, _ = compute_reward(**args)
     assert comp["r_lift"] == pytest.approx(15.0)
     # position error and tilt are both charged
     rot = Rotation3.from_axis_angle([1, 0, 0], 0.2)
     args = reward_args(
-        tips, contacts, distal=[0.001, 0.001],
+        tips, contacts, touching=[True, True],
         obj_pos=(0.0, 0.02, 0.1), obj_rot=rot, target_pos=(0, 0, 0.1),
     )
     _, comp, _ = compute_reward(**args)
@@ -136,9 +137,9 @@ def test_similarity_is_cosine_of_full_vector():
     contacts = [[0, 0, 0]]
     q = [1.0, 0.0, 1.0]
     q_target = [1.0, 1.0, 0.0]
-    _, comp, _ = compute_reward(**reward_args(tips, contacts, q=q, q_target=q_target, distal=[1.0]))
+    _, comp, _ = compute_reward(**reward_args(tips, contacts, q=q, q_target=q_target, touching=[False]))
     assert comp["r_sim"] == pytest.approx(0.5)
-    _, comp, _ = compute_reward(**reward_args(tips, contacts, q=[0, 0, 0], q_target=q_target, distal=[1.0]))
+    _, comp, _ = compute_reward(**reward_args(tips, contacts, q=[0, 0, 0], q_target=q_target, touching=[False]))
     assert comp["r_sim"] == 0.0
 
 
@@ -147,7 +148,7 @@ def test_total_composition_weights():
     tips = [[0.0, 0, 0.1], [0.0, 0.01, 0.1]]
     contacts = [[0, 0, 0], [0, 0.01, 0]]
     args = reward_args(
-        tips, contacts, distal=[0.001, 0.001], obj_pos=(0, 0, 0.1),
+        tips, contacts, touching=[True, True], obj_pos=(0, 0, 0.1),
         target_pos=(0, 0, 0.1), d_closest=0.5,
     )
     total, comp, _ = compute_reward(**args)
@@ -297,6 +298,35 @@ def test_one_fk_per_env_step(toy_hand, lift_demo, monkeypatch):
         steps += 1
         assert len(calls) == steps
     assert steps == 10
+
+
+def test_env_step_queries_geometry_only_in_detection(toy_hand, lift_demo, monkeypatch):
+    # the reward reads the contacts that the step's one detection pass left
+    env = small_env(toy_hand, lift_demo)
+    env.reset()
+    query, detect = simworld.segment_piece_signed, SimWorld._detect
+    depth, detections, outside = [0], [], []
+
+    def counted_query(*args):
+        if not depth[0]:
+            outside.append(args)
+        return query(*args)
+
+    def counted_detect(self):
+        detections.append(self.step_index)
+        depth[0] += 1
+        try:
+            detect(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(simworld, "segment_piece_signed", counted_query)
+    monkeypatch.setattr(SimWorld, "_detect", counted_detect)
+    done = False
+    while not done:
+        _, _, done, _ = env.step(np.zeros(env.dim_act))
+    assert not outside
+    assert len(detections) == 10
 
 
 T = PREGRASP_THRESHOLD

@@ -1,13 +1,24 @@
 """Command line smoke test on the finished toy3 run of conftest.py."""
+import argparse
 import shutil
+
+import pytest
 
 from demo2dex.cli import _parse_seeds, main
 from demo2dex.jsonio import dump_json, load_json
 
 
-def test_parse_seeds():
+def test_parse_seeds(tmp_path):
     assert _parse_seeds("0:3") == [0, 1, 2]
     assert _parse_seeds("0,3,7") == [0, 3, 7]
+    for empty in ("5:2", "3:3", ","):
+        with pytest.raises(argparse.ArgumentTypeError, match="no seed"):
+            _parse_seeds(empty)
+    # an empty sweep is a usage error, not a run of nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "lift_box_toy", "--seeds", "5:2", "--out", str(tmp_path)])
+    assert exc.value.code != 0
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_eval_report(toy3_config, toy3_run, tmp_path):

@@ -318,3 +318,9 @@ def test_malformed_hand_rejected():
     heavy["links"][-1]["mass"] = 0.02
     with pytest.raises(HandModelError, match="'dist'.*mass"):
         hand_from_dict(heavy)
+
+    # the reward's touch test reads the contacts of a fingertip's link
+    bare = planar_hand_dict()
+    del bare["links"][-1]["collisions"]
+    with pytest.raises(HandModelError, match="'dist' has no collision primitive"):
+        hand_from_dict(bare)

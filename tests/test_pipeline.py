@@ -118,6 +118,13 @@ def test_fixed_base_hand_fails_before_retargeting(toy3_config, tmp_path, monkeyp
         run_transfer({**toy3_config, "hand": str(hand)}, tmp_path, no_rl=True)
 
 
+def test_negative_seed_fails_before_retargeting(toy3_config, tmp_path, monkeypatch):
+    # a seed that training cannot take fails before retargeting and replay
+    monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
+    with pytest.raises(ValueError, match="seed"):
+        run_transfer(toy3_config, tmp_path, seed=-1)
+
+
 @pytest.mark.parametrize("section, key, value", [
     (None, "reward", {"epsilon": 0.06}),
     (None, "control_frequency", 120.0),
@@ -125,6 +132,7 @@ def test_fixed_base_hand_fails_before_retargeting(toy3_config, tmp_path, monkeyp
     ("sim", "substeps", 4),
     ("sim", "kp", [150.0] * 9),
     ("rl", "hidden", [64, 64]),
+    (None, "seed", 0),
 ])
 def test_removed_config_key_raises(toy3_config, tmp_path, monkeypatch, section, key, value):
     # a config written for the settings that are now module constants names

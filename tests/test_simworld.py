@@ -5,11 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from demo2dex.collision import ConvexPiece
+from demo2dex.collision import ConvexPiece, segment_piece_signed
 from demo2dex.demo import ObjectGeometry
 from demo2dex.geometry import Pose6, Rotation3
 from demo2dex.hand import FKResult, hand_from_dict
 from demo2dex.simworld import (
+    DETECT_MARGIN,
     DT,
     SUBSTEPS,
     SimConfig,
@@ -213,7 +214,7 @@ def test_hand_contact_detected_when_pressed():
         state = world.step(press)
         saw_contact = saw_contact or state.hand_contact
     assert saw_contact
-    assert world.collision_query().min() < 1e-3
+    assert world.collision_query().all()
 
 
 def assert_same_state(got, want):
@@ -270,11 +271,45 @@ def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
         assert np.array_equal(snap.rot.q, ref.rot.q)
         assert snap.step_index == ref.step_index == k
         assert snap._contacts.keys() == ref._contacts.keys()
-        assert bool(ref._contacts) == (k > 0)  # contacts form during the first step
+        # detection runs from reset on: before the first step the box rests on
+        # the ground and the open hand touches nothing
+        assert ref._contacts
+        if k == 0:
+            assert all(key[0] == "g" for key in ref._contacts)
         for key, c in ref._contacts.items():
             assert np.array_equal(snap._contacts[key].anchor, c.anchor), (k, key)
         for a, want in zip(controls[k:], states[k:]):
             assert_same_state(snap.step(a), want)
+
+
+def distal_within_margin(world: SimWorld) -> np.ndarray:
+    """Per distal link, in fingertip order, whether the signed distance from
+    its primitives to the object's pieces, queried pair by pair with no broad
+    phase, is at most DETECT_MARGIN somewhere."""
+    inv = world.object_pose().inverse()
+    out = []
+    for link in world.model.distal_links:
+        rot, pos = world.fkres.link_rot[link], world.fkres.link_pos[link]
+        d = min(
+            segment_piece_signed(inv.apply(rot @ p.a + pos), inv.apply(rot @ p.b + pos), p.radius, piece)[0]
+            for p in world.model.links[link].collisions
+            for piece in world.geometry.pieces
+        )
+        out.append(d <= DETECT_MARGIN)
+    return np.array(out)
+
+
+def test_collision_query_matches_a_direct_distance_query(toy_hand, lift_demo):
+    controls = closing_controls(toy_hand)
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
+    _, starts = replay(world, controls)
+    touching = 0
+    for snap in [*starts, world]:  # the reset state, then the state after each step
+        want = distal_within_margin(snap)
+        got = snap.collision_query()
+        assert got.dtype == bool and np.array_equal(got, want), snap.step_index
+        touching += bool(want.any())
+    assert touching == 23
 
 
 def test_closing_replay_contact_records_are_pinned(toy_hand, lift_demo):
