@@ -63,14 +63,14 @@ def cmd_run(args) -> int:
     for row in rows:
         print(
             f"seed {row['seed']:>3}  grasp={'ok' if row['grasp_success'] else 'NO'} "
-            f"follow={'ok' if row['sr_follow'] else 'NO'} tsr={row['tsr_score']:.3f} "
+            f"follow={'ok' if row['sr_follow'] else 'NO'} tsr_dist={row['tsr_score']:.3f} "
             f"ep={row['ep']:.4f} er={row['er_deg']:.2f}  -> {row['run_dir']}"
         )
     if len(rows) > 1:
         agg = aggregate(rows)
         print(
             f"over {agg['runs']} seeds: sr_grasp={agg['sr_grasp']:.2f} "
-            f"sr_follow={agg['sr_follow']:.2f} tsr={agg['tsr_success']:.2f}"
+            f"sr_follow={agg['sr_follow']:.2f} tsr_success={agg['tsr_success']:.2f}"
         )
     return 0
 
@@ -82,7 +82,7 @@ def cmd_eval(args) -> int:
         status = "verified" if verified else "MISMATCH"
         print(
             f"{d}: {status}  grasp={report.sr_grasp} follow={report.sr_follow} "
-            f"tsr={report.tsr_score:.3f} ep={report.ep:.4f} er={report.er_deg:.2f}"
+            f"tsr_dist={report.tsr_score:.3f} ep={report.ep:.4f} er={report.er_deg:.2f}"
         )
         ok = ok and verified
     return 0 if ok else 1
@@ -98,11 +98,11 @@ def cmd_report(args) -> int:
         row["run_dir"] = d
         rows.append(row)
     agg = aggregate(rows)
-    print(f"{'seed':>6} {'grasp':>6} {'follow':>7} {'tsr':>7} {'ep':>8} {'er_deg':>8}")
+    print(f"{'seed':>6} {'grasp':>6} {'follow':>7} {'tsr_dist':>8} {'ep':>8} {'er_deg':>8}")
     for r in sorted(rows, key=lambda x: x["seed"]):
         print(
             f"{r['seed']:>6} {str(r['grasp_success']):>6} {str(r['sr_follow']):>7} "
-            f"{r['tsr_score']:>7.3f} {r['ep']:>8.4f} {r['er_deg']:>8.2f}"
+            f"{r['tsr_score']:>8.3f} {r['ep']:>8.4f} {r['er_deg']:>8.2f}"
         )
     print(
         f"aggregate over {agg['runs']} runs: sr_grasp={agg['sr_grasp']:.2f} "

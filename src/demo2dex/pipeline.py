@@ -365,7 +365,7 @@ def run_transfer(
     )
     os.replace(tmp, manifest_path)
     log.info(
-        "%s: grasp=%s follow=%s tsr=%.3f ep=%.3f er=%.1f",
+        "%s: grasp=%s follow=%s tsr_dist=%.3f ep=%.3f er=%.1f",
         run_dir.name, grasp_ok, report.sr_follow, report.tsr_score, report.ep, report.er_deg,
     )
     return RunResult(

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from demo2dex import cli
 from demo2dex.cli import _parse_seeds, main
 from demo2dex.jsonio import dump_json, load_json
 
@@ -21,15 +22,18 @@ def test_parse_seeds(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_run_eval_report(toy3_config, toy3_run, tmp_path):
+def test_run_eval_report(toy3_config, toy3_run, tmp_path, capsys):
     cfg_path = tmp_path / "toy3.json"
     dump_json(toy3_config, cfg_path)
     manifest = toy3_run.run_dir / "manifest.json"
     stamp = manifest.stat().st_mtime_ns
     assert main(["run", str(cfg_path), "--out", str(toy3_run.run_dir.parent), "--no-rl"]) == 0
     assert manifest.stat().st_mtime_ns == stamp  # served from the cache, not rerun
+    # the TSR figure of a run is a distance, and is labelled so
+    assert "tsr_dist=1.000" in capsys.readouterr().out
 
     assert main(["eval", str(toy3_run.run_dir)]) == 0
+    assert "tsr_dist=1.000" in capsys.readouterr().out
     tampered = tmp_path / toy3_run.run_dir.name
     shutil.copytree(toy3_run.run_dir, tampered)
     traj = load_json(tampered / "trajectory.json")
@@ -40,3 +44,14 @@ def test_run_eval_report(toy3_config, toy3_run, tmp_path):
     out = tmp_path / "report.json"
     assert main(["report", str(toy3_run.run_dir), "--json", str(out)]) == 0
     assert load_json(out)["aggregate"]["runs"] == 1
+    assert "tsr_dist" in capsys.readouterr().out
+
+
+def test_sweep_prints_the_tsr_success_rate(toy3_run, monkeypatch, capsys):
+    rows = [{**toy3_run.summary(), "seed": seed, "run_dir": "r"} for seed in (0, 1)]
+    rows[1]["tsr_success"] = True
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: rows)
+    assert main(["run", "lift_box_toy", "--seeds", "0:2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all("tsr_dist=1.000" in line for line in lines[:2])
+    assert lines[2].endswith("tsr_success=0.50")

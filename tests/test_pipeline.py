@@ -4,6 +4,7 @@ cache, and verification of stored artifacts.
 The run is the `toy3_run` fixture of conftest.py.
 """
 import copy
+import hashlib
 import shutil
 from pathlib import Path
 
@@ -164,6 +165,24 @@ def test_code_change_recomputes_the_run(toy3_config, toy3_run, tmp_path, monkeyp
     # the code hash lives in the manifest only: the metrics bytes stay the same
     assert (run_dir / "metrics.json").read_bytes() == (toy3_run.run_dir / "metrics.json").read_bytes()
     assert run_transfer(toy3_config, tmp_path, no_rl=True).cached
+
+
+# sha256 of the artifacts of a 600-step PPO run on toy3, seed 0, recorded
+# before the contact loop moved from numpy arrays to floats; any change to
+# them is a change of behaviour of the simulator, the environment or PPO
+TRAINED = {
+    "trajectory.json": "272fd85f13c20960da4b1677d8e9c6f8133061cba37dcda16ce5939c596b3500",
+    "training_log.jsonl": "a54a7aa4470d4b605c484be05d8d4efcab6f0f5acf63e69b9ef474fe94396cd9",
+    "policy.json": "25f7c618a9b7dbcc5633f2759999fc507b4c8797f465da8c30c3b1640c01ef9e",
+}
+
+
+def test_short_training_run_is_pinned(toy3_config, tmp_path):
+    config = copy.deepcopy(toy3_config)
+    config["rl"]["total_steps"] = 600
+    res = run_transfer(config, tmp_path, seed=0)
+    got = {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in TRAINED}
+    assert got == TRAINED
 
 
 def recorded_trajectory(demo, poses, dropped):

@@ -1,14 +1,17 @@
 """Dynamics checks: closed-form kinematics of falling bodies, inertia
 tensors, resting and sliding contact, determinism, replay snapshots."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from demo2dex import simworld
 from demo2dex.collision import ConvexPiece, segment_piece_signed
 from demo2dex.demo import ObjectGeometry
 from demo2dex.geometry import Pose6, Rotation3
 from demo2dex.hand import FKResult, hand_from_dict
+from demo2dex.pipeline import resolve_hand
 from demo2dex.simworld import (
     DETECT_MARGIN,
     DT,
@@ -225,9 +228,10 @@ def assert_same_state(got, want):
     assert got.hand_contact == want.hand_contact
 
 
-def closing_controls(toy_hand) -> np.ndarray:
-    """toy3 at the recorded grasp pose closes its fingers on the resting box."""
-    q_open = np.zeros(toy_hand.dof)
+def closing_controls(model) -> np.ndarray:
+    """The hand at the recorded grasp wrist pose closes every finger joint to
+    0.6; toy3 closes its fingers on the resting box."""
+    q_open = np.zeros(model.dof)
     q_open[:3] = WRIST_GRASP
     q_shut = q_open.copy()
     q_shut[6:] = 0.6
@@ -329,3 +333,80 @@ def test_closing_replay_contact_records_are_pinned(toy_hand, lift_demo):
             n_hand += c.body != "ground"
     assert (n_records, n_hand) == (188, 62)
     assert digest.hexdigest() == "8c03227c7d113addb8c46ad61a808f72abbf078059732ce306d29be445b87b1f"
+
+
+def prim_pairs(world: SimWorld):
+    """Every (primitive, piece) pair, queried directly with no broad phase,
+    primitives numbered link by link as SimWorld numbers them. Yields the pair,
+    its signed distance, the vector from the piece centre to the primitive's
+    midpoint, the broad-phase reach, and the world normal toward the object."""
+    pose = world.object_pose()
+    inv = pose.inverse()
+    fk = world.fkres
+    prims = [(name, p) for name, link in world.model.links.items() for p in link.collisions]
+    for idx, (name, prim) in enumerate(prims):
+        rot, pos = fk.link_rot[name], fk.link_pos[name]
+        a_w, b_w = rot @ prim.a + pos, rot @ prim.b + pos
+        seg = b_w - a_w
+        for pi, piece in enumerate(world.geometry.pieces):
+            d, _, _, n_local = segment_piece_signed(inv.apply(a_w), inv.apply(b_w), prim.radius, piece)
+            diff = 0.5 * (a_w + b_w) - pose.apply(piece.centroid)
+            reach = 0.5 * math.sqrt(seg.dot(seg)) + prim.radius + piece.bound_radius + DETECT_MARGIN
+            yield (idx, pi), d, diff, reach, pose.rot.apply(n_local)
+
+
+def jittered_poses(world: SimWorld, rng: np.random.Generator):
+    """Object poses, each moving the object so that one pair sits near a
+    detection boundary: its signed distance within 1 mm of DETECT_MARGIN
+    ("margin"), or its midpoint within a relative 1e-9 of the broad-phase
+    reach ("sphere"). Yields (pose, kind, pair)."""
+    pos, rot = world.object_pose().pos, world.rot
+    for pair, d, diff, reach, n in prim_pairs(world):
+        yield Pose6(pos - (d - DETECT_MARGIN - rng.uniform(-1e-3, 1e-3)) * n, rot), "margin", pair
+        scale = reach * (1.0 + rng.choice([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])) / math.sqrt(diff @ diff)
+        yield Pose6(pos + diff * (1.0 - scale), rot), "sphere", pair
+
+
+@pytest.mark.parametrize("hand_name", ["toy3", "allegro16"])
+def test_broad_phase_never_drops_a_pair(hand_name, lift_demo, monkeypatch):
+    """Detection queries exactly the pairs whose bounding spheres come within
+    DETECT_MARGIN, and leaves a hand contact for exactly the pairs within
+    DETECT_MARGIN, in closing-replay states with the object moved to put one
+    pair on either side of either boundary."""
+    model, _ = resolve_hand(hand_name)
+    controls = closing_controls(model)
+    world = SimWorld(model, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
+    _, starts = replay(world, controls)
+    queries = []
+    real_query = simworld.segment_piece_signed
+
+    def counted(*args):
+        queries.append(args)
+        return real_query(*args)
+
+    monkeypatch.setattr(simworld, "segment_piece_signed", counted)
+    rng = np.random.default_rng(11)
+    sides = {"margin": set(), "sphere": set()}
+    for snap in starts[::4]:
+        for pose, kind, pair in jittered_poses(snap, rng):
+            world.reset(snap.q, pose)
+            pairs = list(prim_pairs(world))
+            near = {p for p, d, _, _, _ in pairs if d <= DETECT_MARGIN}
+            spheres = {p for p, _, diff, reach, _ in pairs if diff @ diff <= reach * reach}
+            got = {(key[1], key[2]) for key in world._contacts if key[0] == "h"}
+            assert got == near, (snap.step_index, kind, pair)
+            assert len(queries) == len(spheres), (snap.step_index, kind, pair)
+            queries.clear()
+            sides[kind].add(pair in (near if kind == "margin" else spheres))
+    assert sides == {"margin": {True, False}, "sphere": {True, False}}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("contact_stiffness", 0.0), ("contact_stiffness", math.nan),
+    ("friction_mu", -0.1), ("friction_mu", math.nan),
+    ("force_cap", 0.0), ("force_cap", -4.0), ("force_cap", math.nan),
+    ("energy_limit", 0.0), ("energy_limit", -1.0), ("energy_limit", math.nan),
+])
+def test_sim_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        SimConfig(**{field: value})
