@@ -303,10 +303,11 @@ class GraspEnv:
         self.world = self._proto.clone()
         self.t = self.episode.pregrasp_step
         self.d_closest: float | None = None
-        self.object_z0 = float(self.world.object_pose().pos[2])
+        pose = self.world.object_pose()
+        self.object_z0 = float(pose.pos[2])
         self.diverged = False
         return self._observe(
-            self.world.q, self.world.qdot, self.world.object_pose(),
+            self.world.q, self.world.qdot, pose,
             np.zeros(3), np.zeros(3), self.model.fingertip_positions(self.world.fkres),
         )
 

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .jsonio import dump_json, load_json
-from .pipeline import aggregate, evaluate_run, resolve_config, run_sweep
+from .pipeline import PipelineError, aggregate, evaluate_run, resolve_config, run_sweep
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -78,7 +78,12 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     ok = True
     for d in args.run_dirs:
-        report, verified = evaluate_run(d)
+        try:
+            report, verified = evaluate_run(d)
+        except PipelineError as exc:  # the other directories still run
+            print(f"{d}: {exc}")
+            ok = False
+            continue
         status = "verified" if verified else "MISMATCH"
         print(
             f"{d}: {status}  grasp={report.sr_grasp} follow={report.sr_follow} "
@@ -91,7 +96,11 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     rows = []
     for d in args.run_dirs:
-        stored = load_json(os.path.join(d, "metrics.json"))
+        try:
+            stored = load_json(os.path.join(d, "metrics.json"))
+        except FileNotFoundError:
+            print(f"{d}: no finished run (metrics.json missing)", file=sys.stderr)
+            return 1
         row = dict(stored["metrics"])
         row["grasp_success"] = stored["grasp_success"]
         row["seed"] = stored["seed"]

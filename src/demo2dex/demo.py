@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .collision import ConvexPiece, GeometryError, project_to_surface
-from .geometry import Pose6, Rotation3
+from .geometry import Pose6, Rotation3, row_norms
 from .retarget import HAND_FRAME_DIM
 
 CONTACT_THRESHOLD = 0.05  # fingertips closer than this to the surface count as contacts
@@ -88,6 +88,31 @@ def preprocess_object(pieces_raw, com, mass) -> ObjectGeometry:
     return geom
 
 
+def float_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """JSON rows as one (n, width) float64 array, and a mask of the rows that
+    are `width` numbers; every other row reads as NaN.
+
+    The rows are converted one by one only when the list does not stack whole.
+    """
+    n = len(rows)
+    try:
+        out = np.array(rows, dtype=np.float64)
+        if out.shape == (n, width):
+            return out, np.ones(n, dtype=bool)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        pass
+    out = np.full((n, width), np.nan)
+    parsed = np.zeros(n, dtype=bool)
+    for i, row in enumerate(rows):
+        try:
+            r = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError):
+            continue
+        if r.shape == (width,):
+            out[i], parsed[i] = r, True
+    return out, parsed
+
+
 def demo_from_dict(data: dict) -> DemoSequence:
     try:
         fps = float(data["fps"])
@@ -99,27 +124,34 @@ def demo_from_dict(data: dict) -> DemoSequence:
         raise DemoError("fps must be positive")
     if len(frames) < 2:
         raise DemoError("demo needs at least two frames")
-    hand = np.empty((len(frames), HAND_FRAME_DIM))
-    poses = []
+    fields, malformed = [], None
     for t, fr in enumerate(frames):
         try:
-            h = np.asarray(fr["hand"], dtype=np.float64)
-            pos = np.asarray(fr["object"]["pos"], dtype=np.float64)
-            quat = np.asarray(fr["object"]["quat"], dtype=np.float64)
+            fields.append((fr["hand"], fr["object"]["pos"], fr["object"]["quat"]))
         except (KeyError, TypeError) as exc:
-            raise DemoError(f"frame {t}: malformed record ({exc})") from exc
-        if h.shape != (HAND_FRAME_DIM,):
-            raise DemoError(f"frame {t}: hand vector must have {HAND_FRAME_DIM} entries")
-        if not np.all(np.isfinite(h)):
-            raise DemoError(f"frame {t}: hand vector has non-finite entries")
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise DemoError(f"frame {t}: object position invalid")
-        if quat.shape != (4,) or not np.all(np.isfinite(quat)):
-            raise DemoError(f"frame {t}: object quaternion invalid")
-        if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
-            raise DemoError(f"frame {t}: object quaternion is not unit norm")
-        hand[t] = h
-        poses.append(Pose6(pos, Rotation3(quat)))
+            malformed = DemoError(f"frame {t}: malformed record ({exc})")
+            break
+    # the frames before a malformed one, checked as three stacked arrays; a
+    # frame's message is its first failing check, in this order
+    hand, hand_ok = float_rows([f[0] for f in fields], HAND_FRAME_DIM)
+    pos, pos_ok = float_rows([f[1] for f in fields], 3)
+    quat, quat_ok = float_rows([f[2] for f in fields], 4)
+    norms = row_norms(quat)
+    checks = [
+        (~hand_ok, f"hand vector must have {HAND_FRAME_DIM} entries"),
+        (~np.isfinite(hand).all(axis=1), "hand vector has non-finite entries"),
+        (~(pos_ok & np.isfinite(pos).all(axis=1)), "object position invalid"),
+        (~(quat_ok & np.isfinite(quat).all(axis=1)), "object quaternion invalid"),
+        (np.abs(norms - 1.0) > 1e-6, "object quaternion is not unit norm"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise DemoError(f"frame {t}: {next(msg for mask, msg in checks if mask[t])}")
+    if malformed is not None:
+        raise malformed
+    quat /= norms[:, None]  # as `Rotation3` normalises
+    poses = [Pose6(p, Rotation3(q, normalize=False)) for p, q in zip(pos, quat)]
     geometry = preprocess_object(
         geo.get("pieces", []), geo.get("com", [0.0, 0.0, 0.0]), geo.get("mass", 0.0)
     )

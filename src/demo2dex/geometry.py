@@ -159,6 +159,23 @@ def geodesic_angle(a: Rotation3, b: Rotation3) -> float:
     return 2.0 * float(np.arctan2(np.linalg.norm(qr[1:]), abs(qr[0])))
 
 
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of an (n, k) float64 array with the same row of
+    another.
+
+    The stacked matmul makes one BLAS dot per row, the call `np.dot` makes on
+    two 1-D arrays, so each result is bitwise equal to `u[i].dot(v[i])`; a
+    float expression of the products is not.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bitwise equal to `np.linalg.norm(row)` and
+    to the norm `Rotation3` normalises by: both are `sqrt(row.dot(row))`."""
+    return np.sqrt(row_dots(v, v))
+
+
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of two float64 arrays of shape (3,).
 
@@ -206,7 +223,7 @@ class Pose6:
         p = np.asarray(pos, dtype=np.float64)
         if p.shape != (3,):
             raise ValueError(f"position must have shape (3,), got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if not all(map(math.isfinite, p.tolist())):  # np.isfinite's verdict, without its call cost
             raise ValueError("position has non-finite entries")
         self.pos = p.copy()
         self.rot = rot

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import GraspEnv, build_episode, map_contacts, select_pregrasp
-from .demo import DemoSequence, extract_contacts, load_demo
-from .geometry import Pose6, Rotation3
+from .demo import DemoSequence, extract_contacts, float_rows, load_demo
+from .geometry import Pose6, row_norms
 from .hand import HandModel, load_hand
 from .jsonio import canonical_dumps, dump_json, load_json, sha256_file, sha256_of
 from .metrics import (
@@ -123,10 +123,6 @@ def _pose_row(p: Pose6) -> list[float]:
     return [*p.pos.tolist(), *p.rot.q.tolist()]
 
 
-def _pose_from_row(row) -> Pose6:
-    return Pose6(np.asarray(row[:3], dtype=np.float64), Rotation3(np.asarray(row[3:7])))
-
-
 def _policy_rollout(env: GraspEnv, policy_fn):
     """Deterministic episode; returns (states, executed controls, success, diverged)."""
     obs = env.reset()
@@ -141,18 +137,32 @@ def _policy_rollout(env: GraspEnv, policy_fn):
     return states, executed, env.success(), False
 
 
+def _pose_array(rows) -> np.ndarray:
+    """Trajectory pose rows as one (N, 7) array, each quaternion normalised as
+    `Rotation3` normalises it."""
+    poses, parsed = float_rows(rows, 7)
+    norms = row_norms(poses[:, 3:])
+    not_numbers = ~(parsed & np.isfinite(poses).all(axis=1))
+    bad = not_numbers | (norms < 1e-8)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "is not 7 finite numbers" if not_numbers[i] else "has a quaternion of norm below 1e-8"
+        raise PipelineError(f"trajectory pose row {i} {what}")
+    poses[:, 3:] /= norms[:, None]
+    return poses
+
+
 def _score(traj: dict, demo: DemoSequence) -> MetricReport:
     """Metrics of a trajectory record, the dict stored as trajectory.json."""
-    poses = [_pose_from_row(r) for r in traj["poses"]]
+    poses = _pose_array(traj["poses"])
     frequency = float(traj["frequency"])
     p, g = traj["prefix_len"], traj["grasp_len"]
-    grasp_positions = np.array([po.pos for po in poses[p : p + g]]).reshape(-1, 3)
-    ref = align_reference(demo.object_poses, demo.fps, len(poses), frequency)
-    ep, er = ep_er(poses, ref)
-    held = sr_grasp(grasp_positions, np.asarray(traj["target_pos"], dtype=np.float64))
+    recorded = np.array([_pose_row(po) for po in demo.object_poses])
+    ep, er = ep_er(poses, recorded[align_reference(demo.length, demo.fps, len(poses), frequency)])
+    held = sr_grasp(poses[p : p + g, :3], np.asarray(traj["target_pos"], dtype=np.float64))
     follow = held and not traj["dropped"] and not traj["diverged"]
-    s_exec = encode_semantics(resample_to_frames(poses, frequency, demo.fps, demo.length))
-    s_demo = encode_semantics(demo.object_poses)
+    s_exec = encode_semantics(poses[resample_to_frames(len(poses), frequency, demo.fps, demo.length)])
+    s_demo = encode_semantics(recorded)
     score, sem_ok = tsr(s_exec, s_demo)
     return MetricReport(
         ep=ep,
@@ -385,7 +395,10 @@ def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
     stale run directory fails loudly instead of quietly re-reporting.
     """
     run_dir = Path(run_dir)
-    manifest = load_json(run_dir / "manifest.json")
+    try:
+        manifest = load_json(run_dir / "manifest.json")
+    except FileNotFoundError:
+        raise PipelineError("no finished run (manifest.json missing)") from None
     demo_src = manifest["demo"]["source"]
     demo, demo_path = resolve_demo(demo_src)
     sha = sha256_file(demo_path)

@@ -264,7 +264,8 @@ class SimWorld:
     # -- stepping --------------------------------------------------------------
 
     def _detect(self) -> None:
-        pose = self.object_pose()
+        # the pose stays on the world for `step` to return with its state
+        self._pose = pose = self.object_pose()
         inv = None
         com = self.geometry.com
         margin = DETECT_MARGIN
@@ -474,7 +475,7 @@ class SimWorld:
         return WorldState(
             q=self.q.copy(),
             qdot=self.qdot.copy(),
-            object_pose=self.object_pose(),
+            object_pose=self._pose,
             v=self.v.copy(),
             w=self.w.copy(),
             step_index=self.step_index,

@@ -55,3 +55,19 @@ def test_sweep_prints_the_tsr_success_rate(toy3_run, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert all("tsr_dist=1.000" in line for line in lines[:2])
     assert lines[2].endswith("tsr_success=0.50")
+
+
+def test_eval_and_report_name_an_unfinished_run(toy3_run, tmp_path, capsys):
+    # a run that died before its manifest: eval says so, checks the other
+    # directories and fails; report names the directory without metrics
+    unfinished = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, unfinished)
+    (unfinished / "manifest.json").unlink()
+    assert main(["eval", str(unfinished), str(toy3_run.run_dir)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{unfinished}: no finished run (manifest.json missing)"
+    assert lines[1].startswith(f"{toy3_run.run_dir}: verified")
+
+    (unfinished / "metrics.json").unlink()
+    assert main(["report", str(toy3_run.run_dir), str(unfinished)]) == 1
+    assert capsys.readouterr().err == f"{unfinished}: no finished run (metrics.json missing)\n"

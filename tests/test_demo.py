@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demo2dex.collision import project_to_surface
 from demo2dex.demo import (
@@ -15,6 +17,7 @@ from demo2dex.demo import (
     extract_contacts,
     summed_tip_distances,
 )
+from demo2dex.retarget import HAND_FRAME_DIM
 from demo2dex.synthetic import BOX_HALF, asset_path
 
 
@@ -63,6 +66,81 @@ def test_rejects_malformed_record(record, corrupt):
     corrupt(data)
     with pytest.raises(DemoError):
         demo_from_dict(data)
+
+
+def frame_by_frame_error(frames) -> str | None:
+    """The frame checks as one loop over the frames, each frame's checks in
+    order: the definition the stacked checks of `demo_from_dict` keep."""
+    for t, fr in enumerate(frames):
+        try:
+            h = np.asarray(fr["hand"], dtype=np.float64)
+            pos = np.asarray(fr["object"]["pos"], dtype=np.float64)
+            quat = np.asarray(fr["object"]["quat"], dtype=np.float64)
+        except (KeyError, TypeError) as exc:
+            return f"frame {t}: malformed record ({exc})"
+        if h.shape != (HAND_FRAME_DIM,):
+            return f"frame {t}: hand vector must have {HAND_FRAME_DIM} entries"
+        if not np.all(np.isfinite(h)):
+            return f"frame {t}: hand vector has non-finite entries"
+        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+            return f"frame {t}: object position invalid"
+        if quat.shape != (4,) or not np.all(np.isfinite(quat)):
+            return f"frame {t}: object quaternion invalid"
+        if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
+            return f"frame {t}: object quaternion is not unit norm"
+    return None
+
+
+WIDTH = {"hand": HAND_FRAME_DIM, "pos": 3, "quat": 4}
+KINDS = ["drop", "drop_object", "not_a_record", "short", "nested", "null", "nan",
+         "inf_entry", "off_unit", "near_unit"]
+
+
+def corrupt(frames, t, kind, field):
+    fr = frames[t]
+    if not isinstance(fr, dict):
+        return
+    if kind == "not_a_record":
+        frames[t] = 5
+    elif kind == "drop_object":
+        fr.pop("object", None)
+    else:
+        owner = fr if field == "hand" else fr.get("object")
+        if not isinstance(owner, dict):
+            return
+        n = WIDTH[field]
+        if kind == "drop":
+            owner.pop(field, None)
+            return
+        owner[field] = {
+            "short": [0.1] * (n - 1),
+            "nested": [[0.1] * n],
+            "null": None,
+            "nan": [float("nan")] * n,
+            "inf_entry": [float("inf")] + [0.1] * (n - 1),
+            "off_unit": [1.0 + 2e-6] + [0.0] * (n - 1),
+            "near_unit": [1.0 + 5e-7] + [0.0] * (n - 1),
+        }[kind]
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from(KINDS), st.sampled_from(sorted(WIDTH))),
+    max_size=4,
+))
+@settings(max_examples=300, deadline=None)
+def test_stacked_checks_raise_what_the_frame_loop_raises(record, faults):
+    # every fault the frame loop reports, the stacked checks report with the
+    # same message, naming the first bad frame
+    data = copy.deepcopy(record)
+    for t, kind, field in faults:
+        corrupt(data["frames"], t, kind, field)
+    want = frame_by_frame_error(data["frames"])
+    if want is None:
+        assert demo_from_dict(data).length == 3
+    else:
+        with pytest.raises(DemoError) as exc:
+            demo_from_dict(data)
+        assert str(exc.value) == want
 
 
 def test_extract_contacts_on_the_bundled_recording(lift_demo):

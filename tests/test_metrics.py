@@ -1,8 +1,13 @@
-"""Metric tests: DTW against exhaustive path enumeration, label fixtures, errors."""
+"""Metric tests: DTW against exhaustive path enumeration, label fixtures,
+the array Ep/Er and window features against their per-pose definitions,
+errors."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demo2dex.geometry import Pose6, Rotation3
+from demo2dex import metrics
+from demo2dex.geometry import Pose6, Rotation3, geodesic_angle, unit_vector_angle
 from demo2dex.metrics import (
     FALL,
     HOLD_STEPS,
@@ -55,8 +60,13 @@ def pose_at(pos=(0.0, 0.0, 0.0), rotvec=(0.0, 0.0, 0.0)):
     return Pose6(np.asarray(pos, dtype=np.float64), Rotation3.from_rotvec(rotvec))
 
 
+def rows(poses) -> np.ndarray:
+    """A pose series as the (N, 7) array the scorer reads."""
+    return np.array([[*p.pos.tolist(), *p.rot.q.tolist()] for p in poses]).reshape(-1, 7)
+
+
 def window_of(start: Pose6, end: Pose6, window=10):
-    return [start] * (window - 1) + [end]
+    return rows([start] * (window - 1) + [end])
 
 
 class TestDTW:
@@ -153,37 +163,140 @@ class TestEncodeSemantics:
             poses.append(pose_at(pos=(0.04 * t / 9, 0, 0.04)))
         for t in range(10):  # spin 40 degrees about z
             poses.append(pose_at(pos=(0.04, 0, 0.04), rotvec=(0, 0, np.radians(40.0) * t / 9)))
-        assert encode_semantics(poses) == [LIFT, TRANSLATE, ROTATE]
+        assert encode_semantics(rows(poses)) == [LIFT, TRANSLATE, ROTATE]
 
     def test_consecutive_repeats_collapse(self):
         poses = [pose_at(pos=(0, 0, 0.08 * t / 19)) for t in range(20)]
         # every window is a lift; the string still has one entry
-        assert encode_semantics(poses) == [LIFT]
+        assert encode_semantics(rows(poses)) == [LIFT]
 
     def test_too_short_series_yields_empty(self):
-        assert encode_semantics([pose_at()] * 9) == []
+        assert encode_semantics(rows([pose_at()] * 9)) == []
 
 
 class TestEpEr:
     def test_hand_computed(self):
-        executed = [pose_at(pos=(0.03, 0.04, 0)), pose_at(rotvec=(0, 0, np.radians(90)))]
-        reference = [pose_at(), pose_at()]
+        executed = rows([pose_at(pos=(0.03, 0.04, 0)), pose_at(rotvec=(0, 0, np.radians(90)))])
+        reference = rows([pose_at(), pose_at()])
         ep, er = ep_er(executed, reference)
         assert ep == pytest.approx(0.025, abs=1e-12)  # (0.05 + 0) / 2
         assert er == pytest.approx(45.0, abs=1e-9)  # (0 + 90) / 2
 
     def test_identical_scores_zero(self):
-        poses = [pose_at(pos=(0.1, 0.2, 0.3), rotvec=(0.1, 0.2, 0.3))] * 5
-        ep, er = ep_er(poses, list(poses))
+        poses = rows([pose_at(pos=(0.1, 0.2, 0.3), rotvec=(0.1, 0.2, 0.3))] * 5)
+        ep, er = ep_er(poses, poses.copy())
         assert ep == 0.0 and er == pytest.approx(0.0, abs=1e-7)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ep_er([pose_at()], [pose_at(), pose_at()])
+            ep_er(rows([pose_at()]), rows([pose_at(), pose_at()]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ep_er([], [])
+            ep_er(rows([]), rows([]))
+
+
+def ep_er_per_pose(executed: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+    """The definition the array scorer must reproduce bit for bit: per pose,
+    `np.linalg.norm` of the position difference and `geodesic_angle`, each
+    summed in sequence."""
+    pos = rot = 0.0
+    for a, b in zip(executed, reference):
+        pos += float(np.linalg.norm(a[:3] - b[:3]))
+        rot += geodesic_angle(Rotation3(a[3:], normalize=False), Rotation3(b[3:], normalize=False))
+    n = len(executed)
+    return pos / n, float(np.degrees(rot / n))
+
+
+quat = st.tuples(*[st.floats(-1, 1)] * 4).filter(lambda q: sum(x * x for x in q) > 1e-4)
+position = st.tuples(*[st.floats(-1, 1)] * 3)
+axis = position.filter(lambda v: sum(x * x for x in v) > 1e-4)
+
+
+@st.composite
+def pose_pair(draw):
+    """An executed and a reference row, the reference's rotation drawn in
+    relation to the executed one: equal, negated (the same rotation), near a
+    half turn away, slightly perturbed, or unrelated."""
+    a = Rotation3(draw(quat))
+    kind = draw(st.sampled_from(["same", "negated", "near_pi", "perturbed", "random"]))
+    if kind == "same":
+        b = a
+    elif kind == "negated":
+        b = Rotation3(-a.q, normalize=False)
+    elif kind == "near_pi":
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+        b = a @ Rotation3.from_axis_angle(draw(axis), np.pi - eps)
+    elif kind == "perturbed":
+        scale = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1e-1]))
+        b = Rotation3(a.q + scale * np.array(draw(quat)))
+    else:
+        b = Rotation3(draw(quat))
+    return [*draw(position), *a.q.tolist()], [*draw(position), *b.q.tolist()]
+
+
+@given(st.lists(pose_pair(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_array_ep_er_is_the_per_pose_definition_bit_for_bit(pairs):
+    executed = np.array([e for e, _ in pairs])
+    reference = np.array([r for _, r in pairs])
+    assert ep_er(executed, reference) == ep_er_per_pose(executed, reference)
+
+
+def test_array_ep_er_matches_per_pose_on_random_single_rows():
+    # one row per series, so no sum can hide a last-bit difference in a row
+    rng = np.random.default_rng(11)
+    for _ in range(20000):
+        a, b = Rotation3(rng.normal(size=4)), Rotation3(rng.normal(size=4))
+        executed = np.array([[*rng.normal(size=3), *a.q]])
+        reference = np.array([[*rng.normal(size=3), *b.q]])
+        assert ep_er(executed, reference) == ep_er_per_pose(executed, reference)
+
+
+def window_features_per_pose(start: Pose6, end: Pose6) -> list[float]:
+    """The definition of a window's features, one window at a time."""
+    dpos = end.pos - start.pos
+    ez = np.array([0.0, 0.0, 1.0])
+    rel = end.rot @ start.rot.inverse()
+    return [
+        float(dpos[2]),
+        float(np.linalg.norm(dpos[:2])),
+        float(np.linalg.norm(dpos)),
+        float(np.degrees(unit_vector_angle(start.rot.apply(ez), end.rot.apply(ez)))),
+        abs(float(np.degrees(float(rel.as_rotvec()[2])))),
+    ]
+
+
+def pose_of(row) -> Pose6:
+    return Pose6(row[:3], Rotation3(row[3:], normalize=False))
+
+
+def assert_window_features_match(first: np.ndarray, last: np.ndarray):
+    got = np.stack(metrics._window_features(first, last), axis=1)
+    want = np.array([window_features_per_pose(pose_of(a), pose_of(b)) for a, b in zip(first, last)])
+    assert got.tolist() == want.tolist()
+
+
+@given(st.lists(pose_pair(), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_window_features_are_the_per_pose_definition_bit_for_bit(pairs):
+    assert_window_features_match(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+
+
+def test_window_features_match_per_pose_on_random_windows():
+    # windows near each label's threshold: a displacement of about 3 cm, and
+    # rotations of up to 30 degrees, some about z alone
+    rng = np.random.default_rng(5)
+    first, last = [], []
+    for k in range(5000):
+        a = Rotation3(rng.normal(size=4))
+        axis = [0.0, 0.0, 1.0] if k % 3 == 0 else rng.normal(size=3)
+        b = a @ Rotation3.from_axis_angle(axis, rng.uniform(0.0, np.radians(30.0)))
+        p = rng.normal(size=3)
+        d = rng.normal(size=3)
+        first.append([*p, *a.q])
+        last.append([*(p + 0.03 * rng.uniform(0.9, 1.1) * d / np.linalg.norm(d)), *b.q])
+    assert_window_features_match(np.array(first), np.array(last))
 
 
 class TestSrGrasp:
@@ -212,22 +325,19 @@ class TestSrGrasp:
 
 class TestResampling:
     def test_align_reference_nearest_frame(self):
-        poses = [pose_at(pos=(float(i), 0, 0)) for i in range(8)]
-        out = align_reference(poses, fps=30.0, n_samples=9, frequency=120.0)
+        out = align_reference(8, fps=30.0, n_samples=9, frequency=120.0)
         # frame = round(k / 4), clamped
         expect = [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        assert [int(p.pos[0]) for p in out] == expect
+        assert out.tolist() == expect
 
     def test_resample_to_frames_nearest_sample(self):
-        poses = [pose_at(pos=(float(k), 0, 0)) for k in range(20)]
-        out = resample_to_frames(poses, frequency=120.0, fps=30.0, n_frames=5)
+        out = resample_to_frames(20, frequency=120.0, fps=30.0, n_frames=5)
         expect = [0, 4, 8, 12, 16]
-        assert [int(p.pos[0]) for p in out] == expect
+        assert out.tolist() == expect
 
     def test_clamps_past_end(self):
-        poses = [pose_at(pos=(float(i), 0, 0)) for i in range(3)]
-        out = align_reference(poses, fps=30.0, n_samples=30, frequency=30.0)
-        assert int(out[-1].pos[0]) == 2
+        out = align_reference(3, fps=30.0, n_samples=30, frequency=30.0)
+        assert out[-1] == 2
 
 
 def test_metric_report_round_trip():

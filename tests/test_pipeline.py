@@ -5,6 +5,7 @@ The run is the `toy3_run` fixture of conftest.py.
 """
 import copy
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -168,21 +169,53 @@ def test_code_change_recomputes_the_run(toy3_config, toy3_run, tmp_path, monkeyp
 
 
 # sha256 of the artifacts of a 600-step PPO run on toy3, seed 0, recorded
-# before the contact loop moved from numpy arrays to floats; any change to
-# them is a change of behaviour of the simulator, the environment or PPO
+# before the contact loop moved from numpy arrays to floats (metrics.json:
+# before scoring moved from one Pose6 per row to pose arrays); any change to
+# them is a change of behaviour of the simulator, the environment, PPO or the
+# metrics
 TRAINED = {
     "trajectory.json": "272fd85f13c20960da4b1677d8e9c6f8133061cba37dcda16ce5939c596b3500",
     "training_log.jsonl": "a54a7aa4470d4b605c484be05d8d4efcab6f0f5acf63e69b9ef474fe94396cd9",
     "policy.json": "25f7c618a9b7dbcc5633f2759999fc507b4c8797f465da8c30c3b1640c01ef9e",
+    "metrics.json": "47fa5633be4d263054211c15affce09158b9c9cf69b2b9d95e02b53f87c1585d",
 }
 
 
-def test_short_training_run_is_pinned(toy3_config, tmp_path):
+def test_short_training_run_is_pinned(toy3_config, tmp_path, monkeypatch):
+    # the recording goes by a relative path, so the run key that metrics.json
+    # stores does not depend on where the test runs
+    shutil.copy(toy3_config["demo"], tmp_path / "recording.json")
+    monkeypatch.chdir(tmp_path)
     config = copy.deepcopy(toy3_config)
+    config["demo"] = "recording.json"
     config["rl"]["total_steps"] = 600
     res = run_transfer(config, tmp_path, seed=0)
     got = {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in TRAINED}
     assert got == TRAINED
+
+
+@pytest.mark.parametrize("row, problem", [
+    ([0.4, 0.0, 0.03, 1.0, 0.0, 0.0], "is not 7 finite numbers"),
+    ([0.4, 0.0, 0.03, 1.0, 0.0, 0.0, "x"], "is not 7 finite numbers"),
+    ([0.4, 0.0, float("nan"), 1.0, 0.0, 0.0, 0.0], "is not 7 finite numbers"),
+    ([0.4, 0.0, 0.03, 0.0, 0.0, 0.0, 0.0], "has a quaternion of norm below 1e-8"),
+])
+def test_malformed_trajectory_row_is_named(toy3_run, tmp_path, row, problem):
+    # a bad row fails loudly with its index, rather than as NaN metrics or a
+    # bare error from the quaternion
+    run_dir = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, run_dir)
+    traj = load_json(run_dir / "trajectory.json")
+    traj["poses"][7] = row
+    traj["poses"][9] = [0.0] * 7
+    (run_dir / "trajectory.json").write_text(json.dumps(traj))  # NaN needs the lenient writer
+    with pytest.raises(pipeline.PipelineError, match=f"trajectory pose row 7 {problem}"):
+        evaluate_run(run_dir)
+
+
+def test_evaluate_run_needs_a_finished_run(tmp_path):
+    with pytest.raises(pipeline.PipelineError, match=r"no finished run \(manifest.json missing\)"):
+        evaluate_run(tmp_path)
 
 
 def recorded_trajectory(demo, poses, dropped):

@@ -256,6 +256,29 @@ def test_cached_fk_follows_the_joint_vector(toy_hand, lift_demo):
     assert_fk_cached(world)
 
 
+def test_step_builds_the_object_pose_once(toy_hand, lift_demo, monkeypatch):
+    # detection's pose is the one the step returns with its state
+    controls = closing_controls(toy_hand)
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
+    object_pose, built = SimWorld.object_pose, []
+
+    def counted(self):
+        built.append(self.step_index)
+        return object_pose(self)
+
+    monkeypatch.setattr(SimWorld, "object_pose", counted)
+    touched = False
+    for k, a in enumerate(controls, start=1):
+        state = world.step(a)
+        assert built == [k]
+        built.clear()
+        want = object_pose(world)
+        assert np.array_equal(state.object_pose.pos, want.pos)
+        assert np.array_equal(state.object_pose.rot.q, want.rot.q)
+        touched = touched or state.hand_contact
+    assert touched
+
+
 def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
     controls = closing_controls(toy_hand)
     q_open = controls[0]
