@@ -238,7 +238,7 @@ def compute_reward(
     r_con = float(np.count_nonzero(touching))
     nq = float(np.linalg.norm(q))
     nt = float(np.linalg.norm(q_target))
-    r_sim = float(q @ q_target / (nq * nt)) if nq > 1e-12 and nt > 1e-12 else 0.0
+    r_sim = float(q.dot(q_target) / (nq * nt)) if nq > 1e-12 and nt > 1e-12 else 0.0
     w_con, w_sim = GRASP_WEIGHTS
     r_grasp = w_con * r_con + w_sim * r_sim
 

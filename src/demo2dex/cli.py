@@ -12,12 +12,12 @@ import os
 import sys
 
 from .jsonio import dump_json, load_json
-from .pipeline import PipelineError, aggregate, evaluate_run, resolve_config, run_sweep
+from .pipeline import PipelineError, aggregate, evaluate_run, repeated_seed, resolve_config, run_sweep
 
 
 def _parse_seeds(spec: str) -> list[int]:
     """Either a comma list ("0,3,7") or a half-open range ("0:20"), naming at
-    least one seed."""
+    least one seed and none twice."""
     if ":" in spec:
         lo, hi = spec.split(":", 1)
         seeds = list(range(int(lo), int(hi)))
@@ -25,6 +25,9 @@ def _parse_seeds(spec: str) -> list[int]:
         seeds = [int(s) for s in spec.split(",") if s != ""]
     if not seeds:
         raise argparse.ArgumentTypeError(f"seed spec {spec!r} names no seed")
+    repeated = repeated_seed(seeds)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"seed spec {spec!r} repeats seed {repeated}")
     return seeds
 
 

@@ -143,7 +143,7 @@ class Rotation3:
     def apply(self, points) -> np.ndarray:
         """Rotate one point (3,) or a stack of points (n, 3)."""
         p = np.asarray(points, dtype=np.float64)
-        return p @ self.as_matrix().T
+        return p.dot(self.as_matrix().T)
 
     def __repr__(self) -> str:
         return f"Rotation3({self.q.tolist()})"

@@ -10,15 +10,23 @@ not set `floating_base: true` or that gives a link a positive `mass`.
 Results are bitwise reproducible, and the fast paths keep them bitwise equal
 to the plain per-joint formulas. `site_jacobians` and `point_jacobian` are
 elementwise: each entry is the same products and differences, in the same
-order, that `np.cross` computes. In `fk`, the Rodrigues matrix is built from
-Python floats in numpy's order, `(I + s K) + (1 - c) K^2`, and a product by an
-identity origin rotation or a zero origin offset is skipped. The skipped
-rotation product is the parent frame plus 0.0, which turns -0.0 into 0.0 as
-the matmul's zero-started sum does; a link position is never -0.0, so a zero
-offset adds nothing. Every other product stays a numpy matmul, one per joint
-or one stacked over joints or sites, which makes the same BLAS call per item:
-a 3x3 product written out in Python sums in a different order than BLAS and
-rounds differently.
+order, that `np.cross` computes. In `fk`, the Rodrigues matrices of all
+revolute joints are built in one broadcast, `(I + s K) + (1 - c) K^2` from
+the sine and cosine of the whole joint vector, the same elementwise
+operations per joint as nine float expressions. Each joint frame is written
+in place into one (D, 3, 3) array, by `dot(..., out=)`. The product by an
+origin rotation is kept when the rotation is the identity: it is cheaper than
+the `+ 0.0` that would give its bits (it turns -0.0 into 0.0). A product by a
+zero origin offset is skipped; a link position is never -0.0, so a zero
+offset adds nothing.
+
+Product rule: every 1-D or 2-D product is `a.dot(b)`. It makes the same BLAS
+call as `a @ b`, so the bits are the same, at about half the call overhead
+(tests/test_dot_rule.py checks every operand shape used). A product stacked
+over joints or sites stays `@`, one BLAS call per item: on 3-D operands
+`dot` is a different product, a sum over the last axis of one and the
+second-to-last of the other. A 3x3 product written out in Python sums in a
+different order than BLAS and rounds differently.
 """
 from __future__ import annotations
 
@@ -37,9 +45,11 @@ _EYE3 = np.eye(3)
 _ZERO3 = np.zeros(3)
 _EYE3.flags.writeable = False
 _ZERO3.flags.writeable = False
-# component k of a cross product pairs components k+1 and k+2 (mod 3)
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+# component k of a cross product a x b is a[k+1] b[k+2] - a[k+2] b[k+1]
+# (mod 3): gathering a at _PAIR and b at _SWAP lines up both products of
+# every component, the first three then the second three
+_PAIR = np.array([1, 2, 0, 2, 0, 1])
+_SWAP = np.array([2, 0, 1, 1, 2, 0])
 
 
 class HandModelError(ValueError):
@@ -178,21 +188,19 @@ class HandModel:
         self.limits_lo = np.array([j.limits[0] for j in self.joints])
         self.limits_hi = np.array([j.limits[1] for j in self.joints])
         # one FK step per joint: parent and child link, the origin rotation
-        # and offset (None when identity or zero), the axis, and K, K^2 of
-        # Rodrigues' formula as nine floats each (None for a prismatic joint)
-        self._fk_steps = []
-        for j in self.joints:
-            rot0 = j.origin_rot.as_matrix()
-            k = _skew(j.axis)
-            self._fk_steps.append((
-                j.parent,
-                j.child,
-                None if rot0.tobytes() == _EYE3.tobytes() else rot0,
-                j.origin_pos if j.origin_pos.any() else None,
-                j.axis,
-                (tuple(k.ravel().tolist()), tuple((k @ k).ravel().tolist()))
-                if j.jtype == "revolute" else None,
-            ))
+        # and offset (None when zero), the axis, and the joint's row among the
+        # revolute joints (None for a prismatic joint)
+        revolute = [i for i, j in enumerate(self.joints) if j.jtype == "revolute"]
+        row = {i: r for r, i in enumerate(revolute)}
+        self._fk_steps = [
+            (j.parent, j.child, j.origin_rot.as_matrix(), j.origin_pos if j.origin_pos.any() else None,
+             j.axis, row.get(i))
+            for i, j in enumerate(self.joints)
+        ]
+        # K and K^2 of Rodrigues' formula, one row per revolute joint
+        self._revolute = np.array(revolute, dtype=np.intp)
+        self._rod_k = np.array([_skew(self.joints[i].axis) for i in revolute])
+        self._rod_k2 = self._rod_k @ self._rod_k
         self._axes = np.array([j.axis for j in self.joints])[:, :, None]
         # chain of joint indices from root to each link
         parent_joint: dict[str, int] = {}
@@ -244,36 +252,35 @@ class HandModel:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dof,):
             raise HandModelError(f"expected q of shape ({self.dof},), got {q.shape}")
-        sin_q = np.sin(q).tolist()
-        cos_q = np.cos(q).tolist()
+        # every revolute joint's rotation at once, (I + s K) + (1 - c) K^2,
+        # from the sine and cosine of the whole vector
+        rev = self._revolute
+        s = np.sin(q)[rev][:, None, None]
+        c = (1.0 - np.cos(q)[rev])[:, None, None]
+        rods = (_EYE3 + s * self._rod_k) + c * self._rod_k2
         link_rot: dict[str, np.ndarray] = {WORLD: _EYE3}
         link_pos: dict[str, np.ndarray] = {WORLD: _ZERO3}
-        joint_rot = []  # per joint, its frame before its own motion
-        joint_pos = []
-        for i, (parent, child, rot0, pos0, axis, kk) in enumerate(self._fk_steps):
+        # per joint, its frame before its own motion, written in place
+        joint_rot = np.empty((self.dof, 3, 3))
+        joint_pos = np.empty((self.dof, 3))
+        for i, (parent, child, rot0, pos0, axis, r) in enumerate(self._fk_steps):
             rp = link_rot[parent]
-            rj = rp + 0.0 if rot0 is None else rp @ rot0
-            pj = link_pos[parent] if pos0 is None else rp @ pos0 + link_pos[parent]
-            joint_rot.append(rj)
-            joint_pos.append(pj)
-            if kk is None:  # prismatic
+            rj = rp.dot(rot0, out=joint_rot[i])
+            if pos0 is None:
+                pj = joint_pos[i] = link_pos[parent]
+            else:
+                pj = joint_pos[i] = rp.dot(pos0) + link_pos[parent]
+            if r is None:  # prismatic
                 link_rot[child] = rj
-                link_pos[child] = pj + q[i] * (rj @ axis)
-                continue
-            (k0, k1, k2, k3, k4, k5, k6, k7, k8), (m0, m1, m2, m3, m4, m5, m6, m7, m8) = kk
-            s, c = sin_q[i], 1.0 - cos_q[i]
-            link_rot[child] = rj @ np.array((
-                ((1.0 + s * k0) + c * m0, (0.0 + s * k1) + c * m1, (0.0 + s * k2) + c * m2),
-                ((0.0 + s * k3) + c * m3, (1.0 + s * k4) + c * m4, (0.0 + s * k5) + c * m5),
-                ((0.0 + s * k6) + c * m6, (0.0 + s * k7) + c * m7, (1.0 + s * k8) + c * m8),
-            ))
-            link_pos[child] = pj
+                link_pos[child] = pj + q[i] * rj.dot(axis)
+            else:
+                link_rot[child] = rj.dot(rods[r])
+                link_pos[child] = pj
         # every joint's axis in one stacked matmul: the same BLAS call per joint
-        joint_axis_w = (np.array(joint_rot) @ self._axes)[:, :, 0]
-        joint_pos_w = np.array(joint_pos)
+        joint_axis_w = (joint_rot @ self._axes)[:, :, 0]
         rots = np.array([link_rot[l] for l in self._site_links])
         sites = (rots @ self._site_local)[:, :, 0] + np.array([link_pos[l] for l in self._site_links])
-        return FKResult(link_rot, link_pos, joint_axis_w, joint_pos_w, sites)
+        return FKResult(link_rot, link_pos, joint_axis_w, joint_pos, sites)
 
     def point_jacobian(self, fkres: FKResult, link: str, point_w: np.ndarray) -> np.ndarray:
         """d(point)/dq for a world point rigidly attached to `link`; (3, D).
@@ -302,7 +309,8 @@ class HandModel:
         z = fkres.joint_axis_w.T
         d = fkres.sites[:, :, None] - fkres.joint_pos_w.T
         # (z1 d2 - z2 d1, z2 d0 - z0 d2, z0 d1 - z1 d0) for every site and joint
-        cols = z[_NEXT] * d[:, _PREV] - z[_PREV] * d[:, _NEXT]
+        zd = z[_PAIR] * d[:, _SWAP]
+        cols = zd[:, :3] - zd[:, 3:]
         jac = np.zeros(cols.shape)
         np.copyto(jac, cols, where=self._site_rev)
         np.copyto(jac, z, where=self._site_pri)
@@ -324,29 +332,24 @@ class HandModel:
     def palm_normal_jacobian(self, fkres: FKResult, sjac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(normal, d(normal)/dq with shape (3, D)); `sjac` is `site_jacobians(fkres)`."""
         n_tips = len(self.fingertip_sites)
-        p_i, p_r, p_w = fkres.sites[n_tips:]
-        j_i, j_r, j_w = sjac[n_tips:]
-        e1 = p_i - p_w
-        e2 = p_r - p_w
-        u = cross3(e1, e2)
+        p = fkres.sites[n_tips:]
+        e = p[:2] - p[2]  # e1, e2: index and ring MCP from the wrist site
+        u = cross3(e[0], e[1])
         norm_u = math.sqrt(u.dot(u))
         if norm_u < 1e-12:
             raise HandModelError("palm sites are collinear; palm plane is undefined")
-        de1 = j_i - j_w
-        de2 = j_r - j_w
-        # du_k = de1_k x e2 + e1 x de2_k for every column k, as np.cross computes it
-        a0, a1, a2 = de1
-        b0, b1, b2 = de2
-        x0, x1, x2 = e1.tolist()
-        y0, y1, y2 = e2.tolist()
-        du = np.array([
-            (a1 * y2 - a2 * y1) + (x1 * b2 - x2 * b1),
-            (a2 * y0 - a0 * y2) + (x2 * b0 - x0 * b2),
-            (a0 * y1 - a1 * y0) + (x0 * b1 - x1 * b0),
-        ])
+        j = sjac[n_tips:]
+        de = j[:2] - j[2]  # de1, de2
+        # du_k = de1_k x e2 + e1 x de2_k for every column k, as np.cross
+        # computes it: all four products of each component come from one
+        # multiply, e1 x de2 taking its two in swapped order as b2 x1 - b1 x2
+        xy = de[:, _PAIR] * e[::-1, _SWAP, None]  # (de1, e2), (de2, e1)
+        du = (xy[0, :3] - xy[0, 3:]) + (xy[1, 3:] - xy[1, :3])
         n_hat = u / norm_u
-        dn = (_EYE3 - n_hat[:, None] * n_hat) @ du / norm_u
-        return self.palm_normal_sign * n_hat, self.palm_normal_sign * dn
+        dn = (_EYE3 - n_hat[:, None] * n_hat).dot(du) / norm_u
+        if self.palm_normal_sign < 0.0:  # negation is the product by -1.0
+            return -n_hat, -dn
+        return n_hat, dn
 
     # -- wrist helpers --------------------------------------------------------
 

@@ -26,6 +26,7 @@ import hashlib
 import logging
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -427,6 +428,11 @@ def _run_one(args) -> dict:
     return out
 
 
+def repeated_seed(seeds: list[int]) -> int | None:
+    """The first seed that occurs more than once, or None."""
+    return next((s for s, n in Counter(seeds).items() if n > 1), None)
+
+
 def run_sweep(
     config: dict,
     out_dir,
@@ -435,6 +441,13 @@ def run_sweep(
     force: bool = False,
     workers: int = 1,
 ) -> list[dict]:
+    """One run per seed. A repeated seed would run twice, and two workers
+    would then write the same run directory."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    repeated = repeated_seed(seeds)
+    if repeated is not None:
+        raise ValueError(f"seed {repeated} is given more than once")
     jobs = [(config, out_dir, s, no_rl, force) for s in seeds]
     if workers <= 1 or len(jobs) == 1:
         return [_run_one(j) for j in jobs]

@@ -97,9 +97,9 @@ class MLP:
         h = x
         cache = [x]
         for i in range(len(self.Ws) - 1):
-            h = np.tanh(h @ self.Ws[i] + self.bs[i])
+            h = np.tanh(h.dot(self.Ws[i]) + self.bs[i])
             cache.append(h)
-        y = h @ self.Ws[-1] + self.bs[-1]
+        y = h.dot(self.Ws[-1]) + self.bs[-1]
         return y, cache
 
     def backward(self, cache: list[np.ndarray], dy: np.ndarray) -> list[np.ndarray]:
@@ -108,10 +108,10 @@ class MLP:
         delta = dy
         for i in range(len(self.Ws) - 1, -1, -1):
             h_in = cache[i]
-            grads[2 * i] = h_in.T @ delta
+            grads[2 * i] = h_in.T.dot(delta)
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.Ws[i].T) * (1.0 - cache[i] ** 2)
+                delta = delta.dot(self.Ws[i].T) * (1.0 - cache[i] ** 2)
         return grads
 
     def params(self) -> list[np.ndarray]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .geometry import cross3
+from .geometry import cross3, row_dots
 from .hand import HandModel
 from .spline import JerkMinSpline
 
@@ -63,40 +63,45 @@ def split_hand_frame(h):
 
 
 def _mapped_targets(model: HandModel, tips: np.ndarray):
-    """Pairs of (fingertip site index, target position) for fingers the hand maps."""
-    out = []
+    """(fingertip site indices (K,), target positions (K, 3)) of the fingers the hand maps."""
+    ks, out = [], []
     for finger, name in sorted(model.correspondence.items()):
         if finger < 0 or finger >= HUMAN_FINGERS:
             raise RetargetError(f"correspondence finger index {finger} out of range")
-        out.append((model.fingertip_order[name], tips[finger]))
-    return out
+        ks.append(model.fingertip_order[name])
+        out.append(tips[finger])
+    return np.array(ks, dtype=np.intp), np.array(out).reshape(-1, 3)
 
 
 def _objective_terms(model, q, targets, normal_h, q_prev, smooth_weight):
+    ks, tips = targets
     fkres = model.fk(q)
     sjac = model.site_jacobians(fkres)
-    grad = np.zeros(model.dof)
+    r = fkres.sites[ks] - tips
+    # per target, the same ddot and (D, 3) x 3 product as on one row, summed
+    # in target order from zero (a reduction over the outer axis adds rows
+    # in order)
     e_f = 0.0
     tip_err = 0.0
-    for k, target in targets:
-        r = fkres.sites[k] - target
-        e_f += float(r @ r)
-        tip_err += math.sqrt(r.dot(r))
-        grad += 2.0 * FINGERTIP_WEIGHT * (sjac[k].T @ r)
+    for d in row_dots(r, r).tolist():
+        e_f += d
+        tip_err += math.sqrt(d)
+    g = 2.0 * FINGERTIP_WEIGHT * (sjac[ks].transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
+    grad = np.add.reduce(g, axis=0, initial=0.0)
     n_r, dn = model.palm_normal_jacobian(fkres, sjac)
-    cos_t = float(np.clip(n_r @ normal_h, -1.0, 1.0))
+    cos_t = min(max(float(n_r.dot(normal_h)), -1.0), 1.0)  # np.clip, without its call cost
     v = cross3(n_r, normal_h)
     sin_t = math.sqrt(v.dot(v))
     theta = float(np.arctan2(sin_t, cos_t))
     e_o = theta * theta
     # d(theta^2)/dq = -2 (theta / sin theta) * d(cos theta)/dq, smooth at 0
     factor = theta / sin_t if sin_t > 1e-8 else 1.0
-    grad += PALM_WEIGHT * (-2.0 * factor) * (dn.T @ normal_h)
+    grad += PALM_WEIGHT * (-2.0 * factor) * dn.T.dot(normal_h)
     dq = q - q_prev
-    e_s = float(dq @ dq)
+    e_s = float(dq.dot(dq))
     grad += 2.0 * smooth_weight * dq
     f = FINGERTIP_WEIGHT * e_f + PALM_WEIGHT * e_o + smooth_weight * e_s
-    return f, grad, tip_err / max(len(targets), 1)
+    return f, grad, tip_err / max(len(ks), 1)
 
 
 def retarget_frame(model: HandModel, h_frame, q_prev, smooth_weight: float = SMOOTH_WEIGHT) -> FrameResult:

@@ -20,15 +20,16 @@ Everything is double precision, sequential, and bitwise deterministic.
 
 Arithmetic rule of the contact loop: elementwise 3-vector arithmetic (`+ - *
 /`) runs on Python floats, and every reduction (a dot product, a matrix-vector
-or matrix product) stays a numpy call on the same operands. Elementwise
-arithmetic gives the same bits on Python floats as in numpy; a reduction does
-not, because the BLAS behind numpy fuses multiply-adds. With numpy 2.4 and its
-bundled OpenBLAS 0.3.31 on an x86-64 Xeon, `a @ b` differs in the last bit
-from `a0*b0 + a1*b1 + a2*b2` for 33% of 100,000 random 3-vector pairs. So
-writing one of these reductions as a float expression, such as
-`collision._dot`, changes the artifacts of every run. The one exception is
-exact: the ground normal is (0, 0, 1), so a dot product with it is the other
-vector's z component.
+or matrix product) stays a numpy call on the same operands, `ndarray.dot`:
+the BLAS call of `@` at about half its call overhead, with the same bits (the
+product rule in `hand.py`). Elementwise arithmetic gives the same bits on
+Python floats as in numpy; a reduction does not, because the BLAS behind
+numpy fuses multiply-adds. With numpy 2.4 and its bundled OpenBLAS 0.3.31 on
+an x86-64 Xeon, `a.dot(b)` differs in the last bit from `a0*b0 + a1*b1 +
+a2*b2` for 33% of 100,000 random 3-vector pairs. So writing one of these
+reductions as a float expression, such as `collision._dot`, changes the
+artifacts of every run. The one exception is exact: the ground normal is
+(0, 0, 1), so a dot product with it is the other vector's z component.
 Detection's broad phase does reduce on floats, but only to choose the pairs
 for the numpy test; a relative slack makes it pass every pair that test
 accepts.
@@ -159,7 +160,7 @@ def _body_inertia(geometry: ObjectGeometry) -> np.ndarray:
             verts = np.vstack([apex, tri])
             vol = abs(np.linalg.det(tri - apex)) / 6.0
             s = verts.sum(axis=0)
-            c_second += vol / 20.0 * (verts.T @ verts + np.outer(s, s))
+            c_second += vol / 20.0 * (verts.T.dot(verts) + np.outer(s, s))
             vol_centroid += vol * verts.mean(axis=0)
     vol_centroid /= total_vol
     second = density * c_second
@@ -250,14 +251,15 @@ class SimWorld:
 
     def kinetic_energy(self) -> float:
         i_w, _ = self._world_inertia(self.rot)
-        return float(0.5 * self.geometry.mass * self.v @ self.v + 0.5 * self.w @ i_w @ self.w)
+        linear = (0.5 * self.geometry.mass * self.v).dot(self.v)
+        return float(linear + (0.5 * self.w).dot(i_w).dot(self.w))
 
     def _world_inertia(self, rot: Rotation3) -> tuple[np.ndarray, np.ndarray]:
         """The inertia tensor and its inverse in the world frame at `rot`,
         computed once per rotation: a resting object keeps its rotation."""
         if self._inertia_rot is not rot:
             r = rot.as_matrix()
-            self._inertia_w = (r @ self.inertia_body @ r.T, r @ self.inertia_body_inv @ r.T)
+            self._inertia_w = (r.dot(self.inertia_body).dot(r.T), r.dot(self.inertia_body_inv).dot(r.T))
             self._inertia_rot = rot
         return self._inertia_w
 
@@ -292,7 +294,7 @@ class SimWorld:
                 if dx * dx + dy * dy + dz * dz > reach * reach * (1.0 + 1e-6):
                     continue
                 if a_w is None:
-                    a_w, b_w = rot @ a + pos, rot @ b + pos
+                    a_w, b_w = rot.dot(a) + pos, rot.dot(b) + pos
                     mid = 0.5 * (a_w + b_w)
                     seg = b_w - a_w
                     half_len = 0.5 * math.sqrt(seg.dot(seg))
@@ -300,11 +302,11 @@ class SimWorld:
                         va = vb = np.zeros(3)
                     else:
                         prev_rot, prev_pos = prev_fk.link_rot[link], prev_fk.link_pos[link]
-                        va = (a_w - (prev_rot @ a + prev_pos)) / DT
-                        vb = (b_w - (prev_rot @ b + prev_pos)) / DT
+                        va = (a_w - (prev_rot.dot(a) + prev_pos)) / DT
+                        vb = (b_w - (prev_rot.dot(b) + prev_pos)) / DT
                 reach = half_len + r + piece.bound_radius + margin
                 diff = mid - centers[pi]
-                if diff @ diff > reach * reach:
+                if diff.dot(diff) > reach * reach:
                     continue
                 if inv is None:
                     inv = pose.inverse()
@@ -317,8 +319,8 @@ class SimWorld:
                 p_prim_w = pose.apply(p_prim)
                 p_piece_w = pose.apply(p_piece)
                 # witness velocity: interpolate endpoint velocities along the segment
-                seg_len2 = float(seg @ seg)
-                t = 0.0 if seg_len2 < 1e-18 else float(np.clip((p_prim_w - a_w) @ seg / seg_len2, 0.0, 1.0))
+                seg_len2 = float(seg.dot(seg))
+                t = 0.0 if seg_len2 < 1e-18 else float(np.clip((p_prim_w - a_w).dot(seg) / seg_len2, 0.0, 1.0))
                 v_wit = (1.0 - t) * va + t * vb
                 key = ("h", idx, pi)
                 old = self._contacts.get(key)
@@ -379,7 +381,7 @@ class SimWorld:
             for key, c in self._contacts.items():
                 ground = c.jac_t is None
                 # contact point p_o, its offset r from the COM, and v_rel
-                x, y, z = (c.rel @ rt).tolist()
+                x, y, z = c.rel.dot(rt).tolist()
                 x, y, z = x + c0, y + c1, z + c2
                 r0, r1, r2 = x - c0, y - c1, z - c2
                 o0, o1, o2 = c.v_other
@@ -390,7 +392,7 @@ class SimWorld:
                     vn = u2
                     pen = -z  # exact for the plane
                 else:
-                    vn = float(np.array((u0, u1, u2)) @ c.normal)
+                    vn = float(np.array((u0, u1, u2)).dot(c.normal))
                     pen = c.pen  # relinearized below
                 fn = stiffness * pen - cn_eff * vn
                 fn = min(max(fn, 0.0), force_cap)
@@ -402,7 +404,7 @@ class SimWorld:
                     a0, a1, a2 = c.anchor
                     d0, d1, d2 = x - p0, y - p1, z - p2
                     e0, e1, e2 = d0 - a0, d1 - a1, d2 - a2
-                    en = e2 if ground else float(np.array((e0, e1, e2)) @ c.normal)
+                    en = e2 if ground else float(np.array((e0, e1, e2)).dot(c.normal))
                     ft0 = -FRICTION_STIFFNESS * (e0 - en * n0) - ct_eff * (u0 - vn * n0)
                     ft1 = -FRICTION_STIFFNESS * (e1 - en * n1) - ct_eff * (u1 - vn * n1)
                     ft2 = -FRICTION_STIFFNESS * (e2 - en * n2) - ct_eff * (u2 - vn * n2)
@@ -424,7 +426,7 @@ class SimWorld:
                     t1 += r2 * fv0 - r0 * fv2
                     t2 += r0 * fv1 - r1 * fv0
                     if not ground:
-                        tau_react += c.jac_t @ np.array((-fv0, -fv1, -fv2))
+                        tau_react += c.jac_t.dot(np.array((-fv0, -fv1, -fv2)))
                 if fn > 0.0:
                     touched[key] = (c, (x, y, z), (fv0, fv1, fv2))
                 # relinearize penetration for the next substep
@@ -444,14 +446,14 @@ class SimWorld:
             # object: semi-implicit Euler
             i_w, i_w_inv = self._world_inertia(rot)
             v0, v1, v2 = v0 + h * f0 / mass, v1 + h * f1 / mass, v2 + h * f2 / mass
-            l0, l1, l2 = (i_w @ np.array((w0, w1, w2))).tolist()  # angular momentum
-            k0, k1, k2 = (i_w_inv @ np.array((
+            l0, l1, l2 = i_w.dot(np.array((w0, w1, w2))).tolist()  # angular momentum
+            k0, k1, k2 = i_w_inv.dot(np.array((
                 t0 - (w1 * l2 - w2 * l1), t1 - (w2 * l0 - w0 * l2), t2 - (w0 * l1 - w1 * l0)
             ))).tolist()
             w0, w1, w2 = w0 + h * k0, w1 + h * k1, w2 + h * k2
             c0, c1, c2 = c0 + h * v0, c1 + h * v1, c2 + h * v2
             ang = np.array((w0 * h, w1 * h, w2 * h))
-            if float(ang @ ang) > 0.0:
+            if float(ang.dot(ang)) > 0.0:
                 rot = Rotation3.from_rotvec(ang).compose(rot)
         self.rot = rot
         self.v = np.array((v0, v1, v2))

@@ -22,6 +22,20 @@ def test_parse_seeds(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_repeated_seed_is_a_usage_error(tmp_path, capsys):
+    # a repeated seed would run twice, be counted twice in the aggregate, and
+    # with two workers have two processes write one run directory
+    with pytest.raises(argparse.ArgumentTypeError, match="repeats seed 0"):
+        _parse_seeds("0,0,1")
+    with pytest.raises(argparse.ArgumentTypeError, match="repeats seed 3"):
+        _parse_seeds("3,1,2,3,1")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "lift_box_toy", "--seeds", "2,0,2", "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code != 0
+    assert "repeats seed 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_eval_report(toy3_config, toy3_run, tmp_path, capsys):
     cfg_path = tmp_path / "toy3.json"
     dump_json(toy3_config, cfg_path)

@@ -175,6 +175,29 @@ def test_fk_and_site_jacobians_bitwise_equal_per_joint_reference(hand_name, data
     assert_matches_per_joint_reference(model, data.draw(joint_vectors(model)))
 
 
+def float_palm_normal_jacobian(model, fk, sjac):
+    """The palm normal's jacobian with du written per row on Python floats,
+    as np.cross computes each column."""
+    n_tips = len(model.fingertip_sites)
+    p_i, p_r, p_w = fk.sites[n_tips:]
+    j_i, j_r, j_w = sjac[n_tips:]
+    e1, e2 = p_i - p_w, p_r - p_w
+    u = np.cross(e1, e2)
+    norm_u = np.sqrt(u @ u)
+    a0, a1, a2 = j_i - j_w
+    b0, b1, b2 = j_r - j_w
+    x0, x1, x2 = e1.tolist()
+    y0, y1, y2 = e2.tolist()
+    du = np.array([
+        (a1 * y2 - a2 * y1) + (x1 * b2 - x2 * b1),
+        (a2 * y0 - a0 * y2) + (x2 * b0 - x0 * b2),
+        (a0 * y1 - a1 * y0) + (x0 * b1 - x1 * b0),
+    ])
+    n_hat = u / norm_u
+    dn = (np.eye(3) - n_hat[:, None] * n_hat) @ du / norm_u
+    return model.palm_normal_sign * n_hat, model.palm_normal_sign * dn
+
+
 def test_skipped_identity_product_turns_a_signed_zero_into_zero():
     """Here the skewed hand's proximal rotation holds a -0.0 (an underflowed
     product), and the matmul by the prismatic joint's identity origin
@@ -211,6 +234,10 @@ def assert_matches_per_joint_reference(model, q):
     n_ref, dn_ref = reference_palm_normal_jacobian(model, fk)
     assert np.array_equal(n, n_ref)
     assert np.array_equal(dn, dn_ref)
+    # and in bytes what the per-row float formula gives
+    n_row, dn_row = float_palm_normal_jacobian(model, fk, sjac)
+    assert n.tobytes() == n_row.tobytes()
+    assert dn.tobytes() == dn_row.tobytes()
 
 
 def test_wrist_pose_round_trip(toy_hand):

@@ -155,6 +155,19 @@ def test_parallel_sweep_matches_the_serial_run(toy3_config, toy3_run, tmp_path):
         assert p.read_bytes() == (toy3_run.run_dir / p.name).read_bytes(), p.name
 
 
+@pytest.mark.parametrize("seeds, workers, problem", [
+    ([0, 1, 0], 1, "seed 0 is given more than once"),
+    ([2, 1, 1], 2, "seed 1 is given more than once"),
+    ([0, 1], 0, "workers must be at least 1, got 0"),
+    ([0], -2, "workers must be at least 1, got -2"),
+])
+def test_sweep_rejects_repeated_seeds_and_no_workers(toy3_config, tmp_path, monkeypatch, seeds, workers, problem):
+    monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
+    with pytest.raises(ValueError, match=problem):
+        run_sweep(toy3_config, tmp_path, seeds, no_rl=True, workers=workers)
+    assert not any(tmp_path.iterdir())
+
+
 def test_code_change_recomputes_the_run(toy3_config, toy3_run, tmp_path, monkeypatch):
     run_dir = tmp_path / toy3_run.run_dir.name
     shutil.copytree(toy3_run.run_dir, run_dir)
@@ -192,6 +205,34 @@ def test_short_training_run_is_pinned(toy3_config, tmp_path, monkeypatch):
     res = run_transfer(config, tmp_path, seed=0)
     got = {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in TRAINED}
     assert got == TRAINED
+
+
+# sha256 of the artifacts of a --no-rl run on allegro16, seed 0, on every 12th
+# recorded frame, recorded before the small products moved from `@` to
+# ndarray.dot; allegro16 restarts a solve on every frame and touches the box
+# during the replay, which toy3 does not
+CROSS_HAND = {
+    "plan.json": "3cd36b7cd052b80e7e7829a44a1061e91651cea0abd24bb73c905bea48b38fc8",
+    "episode.json": "286171efe3fecdac9c35c56326db12d9aa40ad495b181168aaa8b647876c1087",
+    "trajectory.json": "602e1457656f4a6219a9d57ed2cb38f4cc92725f41673291c97de93787d9275b",
+    "metrics.json": "b56ca21492c2c1c7372562e4a0a2c7aff99e624e6b5b8552aba47367728fa0c0",
+}
+
+
+def test_cross_hand_run_is_pinned(tmp_path, monkeypatch):
+    recording = json.loads(pipeline.asset_path("demos", "lift_box.json").read_text())
+    recording["frames"] = recording["frames"][::12]
+    recording["fps"] = recording["fps"] / 12
+    (tmp_path / "recording.json").write_text(json.dumps(recording))
+    # relative inputs keep the run key that metrics.json stores independent
+    # of where the test runs
+    monkeypatch.chdir(tmp_path)
+    config = pipeline.resolve_config("lift_box_toy")
+    config["hand"] = "allegro16"
+    config["demo"] = "recording.json"
+    res = run_transfer(config, tmp_path, seed=0, no_rl=True)
+    got = {name: hashlib.sha256((res.run_dir / name).read_bytes()).hexdigest() for name in CROSS_HAND}
+    assert got == CROSS_HAND
 
 
 @pytest.mark.parametrize("row, problem", [
