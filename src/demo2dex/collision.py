@@ -51,7 +51,8 @@ class ConvexPiece:
     """One convex component of an object, in the object's local frame."""
 
     __slots__ = (
-        "vertices", "verts_t", "simplices", "face_n", "face_b", "centroid", "bound_radius", "volume",
+        "vertices", "verts_t", "simplices", "face_n", "face_b", "planes", "centroid", "bound_radius",
+        "volume",
     )
 
     def __init__(self, vertices):
@@ -70,6 +71,9 @@ class ConvexPiece:
         # outward faces: n . x <= b
         self.face_n = hull.equations[:, :3].copy()
         self.face_b = -hull.equations[:, 3].copy()
+        # each distinct face plane once (qhull repeats the plane of a face
+        # split into triangles), as floats: n . x + e <= 0 inside
+        self.planes = list(dict.fromkeys(map(tuple, hull.equations.tolist())))
         self.centroid = v.mean(axis=0)
         self.bound_radius = float(np.max(np.linalg.norm(v - self.centroid, axis=1)))
         self.volume = float(hull.volume)
@@ -83,6 +87,20 @@ class ConvexPiece:
                 best_dot = dd
                 best = p
         return best
+
+    def separates(self, a, b, dist: float) -> bool:
+        """Whether both points lie beyond one face plane by more than `dist`.
+
+        The hull lies inside every face half-space and the face normals are
+        unit vectors, so then every point of the segment [a, b] is farther
+        than `dist` from the hull. `a` and `b` are float triples.
+        """
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        for n0, n1, n2, e in self.planes:
+            if n0 * a0 + n1 * a1 + n2 * a2 + e > dist and n0 * b0 + n1 * b1 + n2 * b2 + e > dist:
+                return True
+        return False
 
     def contains_margin(self, p, margin: float = 1e-9) -> bool:
         return bool(np.all(self.face_n @ np.asarray(p) <= self.face_b + margin))

@@ -10,11 +10,33 @@ Model choices, in order of importance:
 * Contacts are penalty springs (Kelvin-Voigt normal force, Coulomb-capped
   tangential anchor springs for static friction). Penetrations are
   relinearized across substeps.
-* Forward kinematics and collision detection run once per simulator state, on
-  reset and at the end of each step. `SimWorld.fkres` is the FK of the current
-  joint vector, and a clone shares it (an `FKResult` is never modified).
-  Detection reads it and leaves the contacts that the next step integrates;
-  `collision_query` reads those contacts and queries no geometry.
+* Detection runs once per simulator state, on reset and at the end of each
+  step, on `SimWorld.fkres`, the FK of the current joint vector (a clone
+  shares it; an `FKResult` is never modified). It leaves the contacts that the
+  next step integrates, and `collision_query` reads them. Each hand primitive
+  and object piece pass four tests in turn, and a pair that fails one is
+  dropped: the bounding spheres on floats, a face plane on floats, the
+  bounding spheres on arrays, and the exact GJK query. A bounding sphere
+  holds every point of its body, so a pair whose spheres are farther apart
+  than DETECT_MARGIN is farther apart still. The hull lies inside each of its
+  face half-spaces, so when both segment endpoints lie beyond one face plane
+  by more than the radius plus DETECT_MARGIN, the whole capsule does, and
+  GJK, whose witness distance bounds the true one from above, would return
+  more than the margin. The float tests carry a relative slack, CULL_SLACK,
+  far above their rounding error, so they drop only pairs that the exact
+  test rejects; the array work is done only for the pairs they pass.
+* One object trajectory per lineage. The hand reaches the object only through
+  the hand contacts in a step's contact set: the reaction torques, the
+  per-contact mass share and every force come from that set. So from a
+  `reset` on, while no step has a hand contact in its set, the object's state
+  after k steps (rotation, velocities, COM, ground contacts and their
+  anchors) is a function of the reset state alone, the same in the world and
+  in every clone taken along the way. `reset` starts a table from k to that
+  step's outcome, clones share it, and a step with no hand contact in its set
+  reads its outcome there when another world of the lineage recorded it, and
+  records it otherwise. Such a step then runs only the joint servo with no
+  reaction, FK, and the hand half of detection. A step with a hand contact in
+  its set ends the lineage for that world until the next `reset`.
 
 Everything is double precision, sequential, and bitwise deterministic.
 
@@ -30,14 +52,14 @@ a2*b2` for 33% of 100,000 random 3-vector pairs. So writing one of these
 reductions as a float expression, such as `collision._dot`, changes the
 artifacts of every run. The one exception is exact: the ground normal is
 (0, 0, 1), so a dot product with it is the other vector's z component.
-Detection's broad phase does reduce on floats, but only to choose the pairs
-for the numpy test; a relative slack makes it pass every pair that test
-accepts.
+Detection's sphere and plane tests do reduce on floats, but only to drop
+pairs, with the slack above.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +86,9 @@ CONTACT_DAMPING = 50.0  # N s/m
 FRICTION_STIFFNESS = 2e3  # N/m
 FRICTION_DAMPING = 20.0  # N s/m
 DETECT_MARGIN = 2e-3  # m; contacts are tracked slightly before touchdown
+# relative slack of detection's float culls, far above their rounding error:
+# a cull drops only pairs that the exact query would also reject
+CULL_SLACK = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,6 +163,37 @@ class _Contact:
         self.jac_t = jac_t  # (D,3) transposed point jacobian; None for ground
         self.link = link
 
+    def copy(self) -> "_Contact":
+        # a step rebinds pen and anchor, and writes no array in place
+        return _Contact(
+            self.rel, self.p_other, self.v_other, self.normal, self.n, self.pen, self.anchor, self.jac_t, self.link
+        )
+
+
+class _Outcome(NamedTuple):
+    """What a step with no hand contact in its set does to the object, from
+    the object's state alone: the new rotation, velocities and COM as floats,
+    the ground contacts of the new state's detection, and the step's contact
+    records as (body, piece, normal, point, force)."""
+
+    rot: Rotation3
+    v: tuple
+    w: tuple
+    com: tuple
+    ground: list[tuple[tuple, _Contact]]
+    touches: list[tuple]
+
+
+def _transform(rows, t, u) -> tuple[float, float, float]:
+    """rows · u + t, with a 3x3 matrix as three rows and vectors as float triples."""
+    u0, u1, u2 = u
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    return (
+        m00 * u0 + m01 * u1 + m02 * u2 + t[0],
+        m10 * u0 + m11 * u1 + m12 * u2 + t[1],
+        m20 * u0 + m21 * u1 + m22 * u2 + t[2],
+    )
+
 
 def _body_inertia(geometry: ObjectGeometry) -> np.ndarray:
     """Uniform-density inertia about the declared COM, object frame.
@@ -190,13 +246,14 @@ class SimWorld:
         self._inertia_rot: Rotation3 | None = None  # the rotation `_inertia_w` is for
         self._inertia_w: tuple[np.ndarray, np.ndarray] | None = None
         # collision primitives flattened once: (link, a_local, b_local, radius,
-        # midpoint and half length plus radius in the link frame, as floats)
-        self._prims: list[tuple[str, np.ndarray, np.ndarray, float, list, float]] = []
+        # then in the link frame as floats: both endpoints, the midpoint, and
+        # the half length plus radius)
+        self._prims: list[tuple[str, np.ndarray, np.ndarray, float, tuple, list, float]] = []
         for name, link in model.links.items():
             for prim in link.collisions:
                 seg = prim.b - prim.a
                 self._prims.append((
-                    name, prim.a, prim.b, prim.radius,
+                    name, prim.a, prim.b, prim.radius, (prim.a.tolist(), prim.b.tolist()),
                     (0.5 * (prim.a + prim.b)).tolist(), 0.5 * math.sqrt(seg.dot(seg)) + prim.radius,
                 ))
         # per piece, each hull vertex minus the COM: a ground contact's `rel`
@@ -220,6 +277,10 @@ class SimWorld:
         self.fkres = self.model.fk(self.q)
         self._contacts: dict[tuple, _Contact] = {}
         self._prev_fk: FKResult | None = None  # the kinematics of the previous detection
+        # the object's trajectory from this reset while no hand touches it:
+        # step index -> outcome, shared by every clone; None once a step had a
+        # hand contact in its set
+        self._lineage: dict[int, _Outcome] | None = {}
         self._detect()
 
     def object_pose(self) -> Pose6:
@@ -230,13 +291,11 @@ class SimWorld:
         # writing into them; its one in-place write, the joint-limit stop on
         # qdot, lands on the array made earlier in the same substep. So a clone
         # shares every array and copies only the contacts, whose pen and anchor
-        # a step rebinds.
+        # a step rebinds. It shares the lineage table too: until a hand touches
+        # the object, its object moves as the original's does.
         other = SimWorld.__new__(SimWorld)
         other.__dict__.update(self.__dict__)
-        other._contacts = {
-            k: _Contact(c.rel, c.p_other, c.v_other, c.normal, c.n, c.pen, c.anchor, c.jac_t, c.link)
-            for k, c in self._contacts.items()
-        }
+        other._contacts = {k: c.copy() for k, c in self._contacts.items()}
         return other
 
     # -- queries -------------------------------------------------------------
@@ -265,7 +324,9 @@ class SimWorld:
 
     # -- stepping --------------------------------------------------------------
 
-    def _detect(self) -> None:
+    def _detect(self, ground: list[tuple[tuple, _Contact]] | None = None) -> None:
+        """Detect the contacts of the current state. `ground`, when given, is
+        the ground contacts of this state, known from the lineage table."""
         # the pose stays on the world for `step` to return with its state
         self._pose = pose = self.object_pose()
         inv = None
@@ -276,49 +337,56 @@ class SimWorld:
         centers = [pose.apply(piece.centroid) for piece in pieces]
         centers_f = [c.tolist() for c in centers]
         fresh: dict[tuple, _Contact] = {}
-        for idx, (link, a, b, r, (m0, m1, m2), reach_local) in enumerate(self._prims):
+        for idx, (link, a, b, r, ends_link, (m0, m1, m2), reach_local) in enumerate(self._prims):
             rot, pos = fk.link_rot[link], fk.link_pos[link]
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-            p0, p1, p2 = pos.tolist()
+            rows, pos_f = rot.tolist(), pos.tolist()
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+            p0, p1, p2 = pos_f
             x = r00 * m0 + r01 * m1 + r02 * m2 + p0
             y = r10 * m0 + r11 * m1 + r12 * m2 + p1
             z = r20 * m0 + r21 * m1 + r22 * m2 + p2
-            a_w = None
+            ends = a_w = va = None
             for pi, piece in enumerate(pieces):
-                # broad phase on floats: the relative slack is far above their
-                # rounding error, so only pairs the exact test below would
-                # also reject are dropped here
+                # the float culls: their relative slack is far above their
+                # rounding error, so they drop only pairs that the exact
+                # query would also reject. First the bounding spheres.
                 cx, cy, cz = centers_f[pi]
                 dx, dy, dz = x - cx, y - cy, z - cz
                 reach = reach_local + piece.bound_radius + margin
-                if dx * dx + dy * dy + dz * dz > reach * reach * (1.0 + 1e-6):
+                if dx * dx + dy * dy + dz * dz > reach * reach * CULL_SLACK:
+                    continue
+                # then a face plane with both endpoints beyond it by more than
+                # r + margin: the whole capsule is farther than the margin
+                if ends is None:
+                    if inv is None:
+                        inv = pose.inverse()
+                        inv_rows, inv_pos = inv.rot.as_matrix().tolist(), inv.pos.tolist()
+                    ends = [_transform(inv_rows, inv_pos, _transform(rows, pos_f, u)) for u in ends_link]
+                if piece.separates(*ends, (r + margin) * CULL_SLACK):
                     continue
                 if a_w is None:
                     a_w, b_w = rot.dot(a) + pos, rot.dot(b) + pos
                     mid = 0.5 * (a_w + b_w)
                     seg = b_w - a_w
                     half_len = 0.5 * math.sqrt(seg.dot(seg))
-                    if prev_fk is None:
-                        va = vb = np.zeros(3)
-                    else:
-                        prev_rot, prev_pos = prev_fk.link_rot[link], prev_fk.link_pos[link]
-                        va = (a_w - (prev_rot.dot(a) + prev_pos)) / DT
-                        vb = (b_w - (prev_rot.dot(b) + prev_pos)) / DT
                 reach = half_len + r + piece.bound_radius + margin
                 diff = mid - centers[pi]
                 if diff.dot(diff) > reach * reach:
                     continue
-                if inv is None:
-                    inv = pose.inverse()
-                d, p_prim, p_piece, n_local = segment_piece_signed(
-                    inv.apply(a_w), inv.apply(b_w), r, piece
-                )
+                d, p_prim, p_piece, n_local = segment_piece_signed(inv.apply(a_w), inv.apply(b_w), r, piece)
                 if d > margin:
                     continue
                 n_w = pose.rot.apply(n_local)  # from hand primitive toward the object
                 p_prim_w = pose.apply(p_prim)
                 p_piece_w = pose.apply(p_piece)
                 # witness velocity: interpolate endpoint velocities along the segment
+                if va is None:
+                    if prev_fk is None:
+                        va = vb = np.zeros(3)
+                    else:
+                        prev_rot, prev_pos = prev_fk.link_rot[link], prev_fk.link_pos[link]
+                        va = (a_w - (prev_rot.dot(a) + prev_pos)) / DT
+                        vb = (b_w - (prev_rot.dot(b) + prev_pos)) / DT
                 seg_len2 = float(seg.dot(seg))
                 t = 0.0 if seg_len2 < 1e-18 else float(np.clip((p_prim_w - a_w).dot(seg) / seg_len2, 0.0, 1.0))
                 v_wit = (1.0 - t) * va + t * vb
@@ -330,17 +398,21 @@ class SimWorld:
                     inv.apply(p_piece_w) - com, tuple(p_prim_w.tolist()), tuple(v_wit.tolist()),
                     n_w, tuple(n_w.tolist()), -d, anchor, jac.T.copy(), link,
                 )
-        # object-vs-ground: every hull vertex near or below the plane
-        for pi, piece in enumerate(pieces):
-            verts_w = pose.apply(piece.vertices)
-            low = np.nonzero(verts_w[:, 2] < margin)[0]
-            for vi, (x, y, z) in zip(low.tolist(), verts_w[low].tolist()):
-                key = ("g", pi, vi)
-                old = self._contacts.get(key)
-                fresh[key] = _Contact(
-                    self._ground_rel[pi][vi], (x, y, 0.0), (0.0, 0.0, 0.0), self._up, (0.0, 0.0, 1.0),
-                    -z, old.anchor if old is not None else (0.0, 0.0, z), None, "ground",
-                )
+        if ground is not None:
+            for key, c in ground:
+                fresh[key] = c.copy()
+        else:
+            # object-vs-ground: every hull vertex near or below the plane
+            for pi, piece in enumerate(pieces):
+                verts_w = pose.apply(piece.vertices)
+                low = np.nonzero(verts_w[:, 2] < margin)[0]
+                for vi, (x, y, z) in zip(low.tolist(), verts_w[low].tolist()):
+                    key = ("g", pi, vi)
+                    old = self._contacts.get(key)
+                    fresh[key] = _Contact(
+                        self._ground_rel[pi][vi], (x, y, 0.0), (0.0, 0.0, 0.0), self._up, (0.0, 0.0, 1.0),
+                        -z, old.anchor if old is not None else (0.0, 0.0, z), None, "ground",
+                    )
         self._contacts = fresh
         self._prev_fk = fk
 
@@ -352,6 +424,14 @@ class SimWorld:
             raise ValueError(f"control must have shape ({self.model.dof},)")
         if not np.all(np.isfinite(a)):
             raise ValueError("control has non-finite entries")
+        k, lineage = self.step_index, self._lineage
+        if lineage is not None:
+            if any(key[0] == "h" for key in self._contacts):
+                lineage = self._lineage = None  # the hand reaches the object from here on
+            else:
+                known = lineage.get(k)
+                if known is not None:
+                    return self._step_hand(a, known)
         cfg = self.config
         stiffness, force_cap, mu = cfg.contact_stiffness, cfg.force_cap, cfg.friction_mu
         model = self.model
@@ -433,16 +513,7 @@ class SimWorld:
                 c.pen = pen - h * vn
                 if c.pen > -DETECT_MARGIN:
                     active += 1
-            # hand joints: PD servo with contact reaction
-            qacc = self.kp * (a - self.q) - self.kd * self.qdot + tau_react
-            self.qdot = self.qdot + h * qacc
-            self.q = self.q + h * self.qdot
-            below = self.q < model.limits_lo
-            above = self.q > model.limits_hi
-            if np.count_nonzero(below) or np.count_nonzero(above):
-                self.q = np.clip(self.q, model.limits_lo, model.limits_hi)
-                self.qdot[below & (self.qdot < 0)] = 0.0
-                self.qdot[above & (self.qdot > 0)] = 0.0
+            self._servo(a, h, tau_react)
             # object: semi-implicit Euler
             i_w, i_w_inv = self._world_inertia(rot)
             v0, v1, v2 = v0 + h * f0 / mass, v1 + h * f1 / mass, v2 + h * f2 / mass
@@ -465,15 +536,49 @@ class SimWorld:
         if energy > cfg.energy_limit:
             raise SimDivergenceError(self.step_index, energy)
         self._detect()
-        tips = model.fingertip_positions(self.fkres)
-        contacts = [
-            ContactRecord(
-                body=c.link, piece=key[2] if key[0] == "h" else key[1],
-                point=np.array(p_o), normal=c.normal.copy(), force=np.array(f_vec),
-            )
+        touches = [
+            (c.link, key[2] if key[0] == "h" else key[1], c.normal, p_o, f_vec)
             for key, (c, p_o, f_vec) in touched.items()
         ]
-        hand_contact = any(k[0] == "h" for k in touched)
+        if lineage is not None:
+            lineage[k] = _Outcome(
+                rot, (v0, v1, v2), (w0, w1, w2), (c0, c1, c2),
+                [(key, c.copy()) for key, c in self._contacts.items() if key[0] == "g"], touches,
+            )
+        return self._state(touches, any(key[0] == "h" for key in touched))
+
+    def _step_hand(self, a: np.ndarray, known: _Outcome) -> WorldState:
+        """A step whose object outcome the lineage table holds: no hand contact
+        is in the set, so no reaction reaches the joints and only the hand
+        moves and is detected. The outcome passed the energy check when it was
+        recorded, under the configuration that the lineage shares."""
+        h = DT / SUBSTEPS
+        no_reaction = np.zeros(self.model.dof)
+        for _ in range(SUBSTEPS):
+            self._servo(a, h, no_reaction)
+        self.rot = known.rot
+        self.v, self.w, self.com_w = np.array(known.v), np.array(known.w), np.array(known.com)
+        self.step_index += 1
+        self.fkres = self.model.fk(self.q)
+        self._detect(known.ground)
+        return self._state(known.touches, False)
+
+    def _servo(self, a: np.ndarray, h: float, tau_react: np.ndarray) -> None:
+        """One substep of the joints: PD servo toward `a` with contact reaction
+        `tau_react`, then the joint-limit stops."""
+        model = self.model
+        qacc = self.kp * (a - self.q) - self.kd * self.qdot + tau_react
+        self.qdot = self.qdot + h * qacc
+        self.q = self.q + h * self.qdot
+        below = self.q < model.limits_lo
+        above = self.q > model.limits_hi
+        if np.count_nonzero(below) or np.count_nonzero(above):
+            self.q = np.clip(self.q, model.limits_lo, model.limits_hi)
+            self.qdot[below & (self.qdot < 0)] = 0.0
+            self.qdot[above & (self.qdot > 0)] = 0.0
+
+    def _state(self, touches: list[tuple], hand_contact: bool) -> WorldState:
+        """The snapshot of the current state, with fresh arrays throughout."""
         return WorldState(
             q=self.q.copy(),
             qdot=self.qdot.copy(),
@@ -481,8 +586,11 @@ class SimWorld:
             v=self.v.copy(),
             w=self.w.copy(),
             step_index=self.step_index,
-            contacts=contacts,
-            fingertips=tips,
+            contacts=[
+                ContactRecord(body=body, piece=piece, point=np.array(p_o), normal=n.copy(), force=np.array(f_vec))
+                for body, piece, n, p_o, f_vec in touches
+            ],
+            fingertips=self.model.fingertip_positions(self.fkres),
             hand_contact=hand_contact,
         )
 

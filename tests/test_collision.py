@@ -1,6 +1,9 @@
-"""GJK and signed-distance queries against optimization-based oracles."""
+"""GJK and signed-distance queries against optimization-based oracles, and
+the face-plane test that lets detection skip a query."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from demo2dex.collision import (
@@ -11,6 +14,7 @@ from demo2dex.collision import (
     project_to_surface,
     segment_piece_signed,
 )
+from demo2dex.simworld import CULL_SLACK, DETECT_MARGIN
 
 RNG = np.random.default_rng(23)
 
@@ -175,3 +179,45 @@ def test_degenerate_vertices_rejected():
         ConvexPiece(np.zeros((0, 3)))
     with pytest.raises(GeometryError):
         ConvexPiece(np.array([[0.0, 0.0]]))
+
+
+def random_piece(seed: int) -> ConvexPiece:
+    """The hull of 4-12 random points, a few centimetres across."""
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.005, 0.05, 3)
+    return ConvexPiece(rng.normal(size=(rng.integers(4, 13), 3)) * scale + rng.uniform(-0.02, 0.02, 3))
+
+
+span = st.tuples(*[st.floats(-0.12, 0.12)] * 3)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_plane_test_skips_only_pairs_beyond_the_margin(lift_demo, data):
+    """Whenever both segment endpoints lie beyond one face plane by more than
+    r + DETECT_MARGIN, the exact query puts the capsule farther than
+    DETECT_MARGIN from the piece, with or without detection's slack. Pieces
+    are random hulls and the bundled box; each endpoint lies anywhere around
+    the piece, or r + DETECT_MARGIN off a face plane to within 1e-12."""
+    if data.draw(st.booleans(), label="bundled box"):
+        piece = lift_demo.geometry.pieces[0]
+    else:
+        piece = random_piece(data.draw(st.integers(0, 2**32 - 1), label="piece seed"))
+    r = data.draw(st.floats(0.0, 0.02), label="radius")
+    reach = r + DETECT_MARGIN
+    plane = data.draw(st.sampled_from(piece.planes), label="face plane")
+    n = np.array(plane[:3])
+    on_plane = piece.centroid - (n @ piece.centroid + plane[3]) * n
+    ends = []
+    for _ in range(2):
+        if data.draw(st.booleans(), label="off the face"):
+            off = reach + data.draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+            off += data.draw(st.sampled_from([0.0, 1e-3, 1e-2]))
+            t = np.array(data.draw(span))
+            ends.append(on_plane + off * n + (t - (t @ n) * n))
+        else:
+            ends.append(piece.centroid + np.array(data.draw(span)))
+    a, b = ends
+    for dist in (reach, reach * CULL_SLACK):
+        if piece.separates(a.tolist(), b.tolist(), dist):
+            assert segment_piece_signed(a, b, r, piece)[0] > DETECT_MARGIN, dist

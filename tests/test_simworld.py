@@ -2,6 +2,7 @@
 tensors, resting and sliding contact, determinism, replay snapshots."""
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from demo2dex.geometry import Pose6, Rotation3
 from demo2dex.hand import FKResult, hand_from_dict
 from demo2dex.pipeline import resolve_hand
 from demo2dex.simworld import (
+    CULL_SLACK,
     DETECT_MARGIN,
     DT,
     SUBSTEPS,
@@ -309,6 +311,137 @@ def test_replay_snapshots_match_a_fresh_prefix_replay(toy_hand, lift_demo):
             assert_same_state(snap.step(a), want)
 
 
+def assert_same_step(got, want):
+    """Two steps' states and contact records, byte for byte."""
+    assert_same_state(got, want)
+    assert [(c.body, c.piece) for c in got.contacts] == [(c.body, c.piece) for c in want.contacts]
+    for g, c in zip(got.contacts, want.contacts):
+        for name in ("point", "normal", "force"):
+            assert getattr(g, name).tobytes() == getattr(c, name).tobytes(), name
+
+
+def assert_same_world(got: SimWorld, want: SimWorld):
+    """Two worlds' object state and contact sets, byte for byte."""
+    for name in ("q", "qdot", "com_w", "v", "w"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.rot.q.tobytes() == want.rot.q.tobytes()
+    assert list(got._contacts) == list(want._contacts)
+
+    def fields(c):
+        return np.array((c.pen, *c.anchor, *c.p_other, *c.v_other, *c.rel)).tobytes()
+
+    for key, c in want._contacts.items():
+        assert fields(got._contacts[key]) == fields(c), key
+
+
+def without_table(world: SimWorld) -> SimWorld:
+    """A clone that reads no lineage table: every step integrates the object."""
+    ref = world.clone()
+    ref._lineage = None
+    return ref
+
+
+def hand_in_set(world: SimWorld) -> bool:
+    return any(key[0] == "h" for key in world._contacts)
+
+
+def counted_object_work(monkeypatch) -> list:
+    """Record every world-frame inertia lookup: each object substep makes one,
+    and so does the kinetic-energy check that ends a full step."""
+    calls, world_inertia = [], SimWorld._world_inertia
+
+    def counted(self, rot):
+        calls.append(self.step_index)
+        return world_inertia(self, rot)
+
+    monkeypatch.setattr(SimWorld, "_world_inertia", counted)
+    return calls
+
+
+def closing_replay(model, geometry, obj0):
+    controls = closing_controls(model)
+    world = SimWorld(model, geometry, SimConfig(), controls[0], obj0)
+    return controls, *replay(world, controls)
+
+
+def test_untouched_episode_reads_the_replay_table(toy_hand, lift_demo, monkeypatch):
+    # from a snapshot before the replay's first hand contact, the hand lifts
+    # away: other controls than the replay's, and the box rests untouched
+    controls, _, starts = closing_replay(toy_hand, lift_demo.geometry, lift_demo.object_poses[0])
+    snap = starts[5]
+    assert snap._lineage is starts[0]._lineage and 5 in snap._lineage
+    away = np.tile(controls[0], (30, 1))
+    away[:, 2] += np.linspace(0.0, 0.05, 30)
+    work = counted_object_work(monkeypatch)
+    world, ref = snap.clone(), without_table(snap)
+    for a in away:
+        read = world.step_index in world._lineage
+        work.clear()
+        got = world.step(a)
+        assert (not work) == read  # a table entry replaces the object's integration
+        want = ref.step(a)
+        assert not want.hand_contact
+        assert_same_step(got, want)
+        assert_same_world(world, ref)
+    assert world._lineage is snap._lineage
+    assert sorted(world._lineage) == list(range(5 + len(away)))  # this episode extended it
+
+
+def test_episode_that_touches_stops_reading_the_table(toy_hand, lift_demo):
+    # closing faster than the replay: the hand reaches the box mid-episode
+    controls, _, starts = closing_replay(toy_hand, lift_demo.geometry, lift_demo.object_poses[0])
+    snap = starts[5]
+    closing = np.vstack([np.linspace(controls[0], controls[-1], 25), np.tile(controls[-1], (10, 1))])
+    world, ref = snap.clone(), without_table(snap)
+    touched_at = None
+    for a in closing:
+        if touched_at is None and hand_in_set(world):
+            touched_at = world.step_index
+        got, want = world.step(a), ref.step(a)
+        assert_same_step(got, want)
+        assert_same_world(world, ref)
+        assert (world._lineage is None) == (touched_at is not None)
+    assert touched_at is not None
+    # the table holds only steps that no hand reached
+    assert max(snap._lineage) < touched_at
+
+
+def test_reset_starts_an_empty_table(toy_hand, lift_demo):
+    controls = closing_controls(toy_hand)
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
+    assert world._lineage == {}
+    world.step(controls[0])
+    table = world._lineage
+    assert list(table) == [0]
+    snap = world.clone()
+    world.reset(controls[0], lift_demo.object_poses[0])
+    assert world._lineage == {} and world._lineage is not table
+    assert snap._lineage is table  # a clone taken before keeps its lineage
+
+
+def test_second_episode_integrates_no_object_before_its_first_contact(toy_hand, lift_demo, monkeypatch):
+    # closing slower than the replay, so the first episode records steps past
+    # the replay's table, and the second reads them
+    controls, _, starts = closing_replay(toy_hand, lift_demo.geometry, lift_demo.object_poses[0])
+    snap = starts[5]
+    replayed = len(snap._lineage)
+    closing = np.linspace(controls[0], controls[-1], 60)
+    episode = snap.clone()
+    first = [episode.step(a) for a in closing]
+    assert len(snap._lineage) > replayed
+    work = counted_object_work(monkeypatch)
+    world = snap.clone()
+    contact_step = None
+    for a, want in zip(closing, first):
+        if contact_step is None and hand_in_set(world):
+            contact_step = world.step_index
+        assert_same_step(world.step(a), want)
+        if contact_step is None:
+            assert not work, world.step_index
+    assert contact_step is not None and contact_step > replayed
+    assert work and min(work) == contact_step  # the object moves again once touched
+
+
 def distal_within_margin(world: SimWorld) -> np.ndarray:
     """Per distal link, in fingertip order, whether the signed distance from
     its primitives to the object's pieces, queried pair by pair with no broad
@@ -358,11 +491,21 @@ def test_closing_replay_contact_records_are_pinned(toy_hand, lift_demo):
     assert digest.hexdigest() == "8c03227c7d113addb8c46ad61a808f72abbf078059732ce306d29be445b87b1f"
 
 
+class Pair(NamedTuple):
+    key: tuple[int, int]  # (primitive, piece)
+    ends: bytes  # the segment endpoints in the piece frame, as queried
+    d: float  # signed distance
+    diff: np.ndarray  # from the piece centre to the primitive's midpoint, world
+    reach: float  # the bounding-sphere reach
+    normal: np.ndarray  # world, from the primitive toward the object
+    beyond: float  # the most by which both endpoints lie beyond one face plane
+    face: np.ndarray  # that face's outward normal, world
+    cull: float  # the plane test skips the pair when `beyond` exceeds this
+
+
 def prim_pairs(world: SimWorld):
     """Every (primitive, piece) pair, queried directly with no broad phase,
-    primitives numbered link by link as SimWorld numbers them. Yields the pair,
-    its signed distance, the vector from the piece centre to the primitive's
-    midpoint, the broad-phase reach, and the world normal toward the object."""
+    primitives numbered link by link as SimWorld numbers them."""
     pose = world.object_pose()
     inv = pose.inverse()
     fk = world.fkres
@@ -370,58 +513,76 @@ def prim_pairs(world: SimWorld):
     for idx, (name, prim) in enumerate(prims):
         rot, pos = fk.link_rot[name], fk.link_pos[name]
         a_w, b_w = rot @ prim.a + pos, rot @ prim.b + pos
+        a_l, b_l = inv.apply(a_w), inv.apply(b_w)
         seg = b_w - a_w
         for pi, piece in enumerate(world.geometry.pieces):
-            d, _, _, n_local = segment_piece_signed(inv.apply(a_w), inv.apply(b_w), prim.radius, piece)
+            d, _, _, n_local = segment_piece_signed(a_l, b_l, prim.radius, piece)
             diff = 0.5 * (a_w + b_w) - pose.apply(piece.centroid)
             reach = 0.5 * math.sqrt(seg.dot(seg)) + prim.radius + piece.bound_radius + DETECT_MARGIN
-            yield (idx, pi), d, diff, reach, pose.rot.apply(n_local)
+            beyond = np.minimum(piece.face_n @ a_l, piece.face_n @ b_l) - piece.face_b
+            f = int(np.argmax(beyond))
+            yield Pair(
+                (idx, pi), a_l.tobytes() + b_l.tobytes(), d, diff, reach, pose.rot.apply(n_local),
+                float(beyond[f]), pose.rot.apply(piece.face_n[f]), (prim.radius + DETECT_MARGIN) * CULL_SLACK,
+            )
 
 
 def jittered_poses(world: SimWorld, rng: np.random.Generator):
     """Object poses, each moving the object so that one pair sits near a
     detection boundary: its signed distance within 1 mm of DETECT_MARGIN
-    ("margin"), or its midpoint within a relative 1e-9 of the broad-phase
-    reach ("sphere"). Yields (pose, kind, pair)."""
+    ("margin"), its midpoint within a relative 1e-9 of the broad-phase reach
+    ("sphere"), or its endpoints within a relative 1e-9 of the plane test's
+    threshold beyond its most separating face plane ("plane").
+    Yields (pose, kind, pair)."""
     pos, rot = world.object_pose().pos, world.rot
-    for pair, d, diff, reach, n in prim_pairs(world):
-        yield Pose6(pos - (d - DETECT_MARGIN - rng.uniform(-1e-3, 1e-3)) * n, rot), "margin", pair
-        scale = reach * (1.0 + rng.choice([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])) / math.sqrt(diff @ diff)
-        yield Pose6(pos + diff * (1.0 - scale), rot), "sphere", pair
+    for p in prim_pairs(world):
+        yield Pose6(pos - (p.d - DETECT_MARGIN - rng.uniform(-1e-3, 1e-3)) * p.normal, rot), "margin", p.key
+        scale = p.reach * (1.0 + rng.choice([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])) / math.sqrt(p.diff @ p.diff)
+        yield Pose6(pos + p.diff * (1.0 - scale), rot), "sphere", p.key
+        # moving the object along the face normal moves both endpoints the
+        # same distance across that face plane
+        target = p.cull * (1.0 + rng.choice([-1e-9, 1e-9]))
+        yield Pose6(pos + (p.beyond - target) * p.face, rot), "plane", p.key
 
 
 @pytest.mark.parametrize("hand_name", ["toy3", "allegro16"])
 def test_broad_phase_never_drops_a_pair(hand_name, lift_demo, monkeypatch):
     """Detection queries exactly the pairs whose bounding spheres come within
-    DETECT_MARGIN, and leaves a hand contact for exactly the pairs within
-    DETECT_MARGIN, in closing-replay states with the object moved to put one
-    pair on either side of either boundary."""
+    DETECT_MARGIN and that no face plane separates by more than the
+    primitive's radius plus DETECT_MARGIN, and leaves a hand contact for
+    exactly the pairs within DETECT_MARGIN, in closing-replay states with the
+    object moved to put one pair on either side of each boundary."""
     model, _ = resolve_hand(hand_name)
     controls = closing_controls(model)
     world = SimWorld(model, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
     _, starts = replay(world, controls)
     queries = []
     real_query = simworld.segment_piece_signed
+    pieces = world.geometry.pieces
 
     def counted(*args):
-        queries.append(args)
+        queries.append((args[0].tobytes() + args[1].tobytes(), pieces.index(args[3])))
         return real_query(*args)
 
     monkeypatch.setattr(simworld, "segment_piece_signed", counted)
     rng = np.random.default_rng(11)
-    sides = {"margin": set(), "sphere": set()}
+    sides = {"margin": set(), "sphere": set(), "plane": set()}
     for snap in starts[::4]:
         for pose, kind, pair in jittered_poses(snap, rng):
             world.reset(snap.q, pose)
             pairs = list(prim_pairs(world))
-            near = {p for p, d, _, _, _ in pairs if d <= DETECT_MARGIN}
-            spheres = {p for p, _, diff, reach, _ in pairs if diff @ diff <= reach * reach}
+            near = {p.key for p in pairs if p.d <= DETECT_MARGIN}
+            spheres = {p.key for p in pairs if p.diff @ p.diff <= p.reach * p.reach}
+            planes = {p.key for p in pairs if p.beyond > p.cull}
             got = {(key[1], key[2]) for key in world._contacts if key[0] == "h"}
             assert got == near, (snap.step_index, kind, pair)
-            assert len(queries) == len(spheres), (snap.step_index, kind, pair)
+            by_query = {(p.ends, p.key[1]): p.key for p in pairs}
+            queried = [by_query[q] for q in queries]
+            assert len(queried) == len(set(queried))
+            assert set(queried) == spheres - planes, (snap.step_index, kind, pair)
             queries.clear()
-            sides[kind].add(pair in (near if kind == "margin" else spheres))
-    assert sides == {"margin": {True, False}, "sphere": {True, False}}
+            sides[kind].add(pair in {"margin": near, "sphere": spheres, "plane": planes}[kind])
+    assert sides == {kind: {True, False} for kind in sides}
 
 
 @pytest.mark.parametrize("field, value", [
