@@ -6,14 +6,28 @@ between a primitive and a piece is the segment-to-hull distance minus the
 primitive radius; penetration beyond the hull surface falls back to the
 precomputed face planes. The GJK core works on plain float tuples because it
 sits inside the simulation inner loop.
+
+A piece checks its vertices when it is made: at least four 3D points, all
+finite, spanning a volume (rank 3 about the first vertex). Its hull (the
+triangles, face planes and volume) is built by qhull the first time any of
+those fields is read, and that build also checks that every vertex lies
+inside the hull. So loading and scoring a recording never loads scipy, and a
+piece that passes the rank test but that qhull rejects raises
+`GeometryError` at that first read. Qhull stays the only hull code because
+`simworld._body_inertia` sums over its triangles in its order: each of 200
+random orders of the bundled box's 12 triangles changed the inertia's bits.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 
 GJK_MAX_ITER = 64  # GJK iterations before the current witness pair is returned
+HULL_FIELDS = ("simplices", "face_n", "face_b", "planes", "volume")  # built by qhull on first read
+# a piece whose smallest singular value (of its vertices about the first) is at
+# most this times its largest is flat. `matrix_rank`'s default tolerance grows
+# with the vertex count, and so rejects a few near-flat pieces that qhull builds.
+FLAT_RTOL = 3 * np.finfo(np.float64).eps
 
 
 class GeometryError(ValueError):
@@ -50,10 +64,7 @@ def _cross(u, v):
 class ConvexPiece:
     """One convex component of an object, in the object's local frame."""
 
-    __slots__ = (
-        "vertices", "verts_t", "simplices", "face_n", "face_b", "planes", "centroid", "bound_radius",
-        "volume",
-    )
+    __slots__ = ("vertices", "verts_t", "centroid", "bound_radius", *HULL_FIELDS)
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=np.float64)
@@ -61,21 +72,42 @@ class ConvexPiece:
             raise GeometryError("a convex piece needs at least four 3D vertices")
         if not np.all(np.isfinite(v)):
             raise GeometryError("convex piece has non-finite vertices")
-        try:
-            hull = ConvexHull(v)
-        except QhullError as exc:
-            raise GeometryError(f"degenerate convex piece (qhull: {exc})") from exc
+        sv = np.linalg.svd(v - v[0], compute_uv=False)
+        if sv[2] <= FLAT_RTOL * sv[0]:  # rank below 3
+            raise GeometryError("degenerate convex piece: coplanar, collinear or coincident vertices")
         self.vertices = v
         self.verts_t = [tuple(p) for p in v]
-        self.simplices = hull.simplices  # (F, 3) vertex indices of the hull's triangles
+        self.centroid = v.mean(axis=0)
+        self.bound_radius = float(np.max(np.linalg.norm(v - self.centroid, axis=1)))
+
+    def __getattr__(self, name):
+        # only reached while a slot is unset; once built, the hull fields are
+        # plain slot reads
+        if name not in HULL_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_hull()
+        return object.__getattribute__(self, name)
+
+    def _build_hull(self) -> None:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            hull = ConvexHull(self.vertices)
+        except QhullError as exc:
+            raise GeometryError(f"degenerate convex piece (qhull: {exc})") from exc
         # outward faces: n . x <= b
-        self.face_n = hull.equations[:, :3].copy()
-        self.face_b = -hull.equations[:, 3].copy()
+        face_n = hull.equations[:, :3].copy()
+        face_b = -hull.equations[:, 3].copy()
+        # sanity: every input vertex must be inside its own hull
+        for p in self.vertices:
+            if not np.all(face_n @ p <= face_b + 1e-9):
+                raise GeometryError("vertex escapes its own hull")
+        self.simplices = hull.simplices  # (F, 3) vertex indices of the hull's triangles
+        self.face_n = face_n
+        self.face_b = face_b
         # each distinct face plane once (qhull repeats the plane of a face
         # split into triangles), as floats: n . x + e <= 0 inside
         self.planes = list(dict.fromkeys(map(tuple, hull.equations.tolist())))
-        self.centroid = v.mean(axis=0)
-        self.bound_radius = float(np.max(np.linalg.norm(v - self.centroid, axis=1)))
         self.volume = float(hull.volume)
 
     def support(self, d):

@@ -71,14 +71,9 @@ def preprocess_object(pieces_raw, com, mass) -> ObjectGeometry:
     pieces = []
     for i, verts in enumerate(pieces_raw):
         try:
-            piece = ConvexPiece(verts)
+            pieces.append(ConvexPiece(verts))
         except GeometryError as exc:
             raise DemoError(f"object piece {i}: {exc}") from exc
-        # sanity: every input vertex must be inside its own hull
-        for v in piece.vertices:
-            if not piece.contains_margin(v, 1e-9):
-                raise DemoError(f"object piece {i}: vertex escapes its own hull")
-        pieces.append(piece)
     com = np.asarray(com, dtype=np.float64)
     if com.shape != (3,):
         raise DemoError("object com must be a 3-vector")

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import cross3, row_dots
 from .hand import HandModel
@@ -35,6 +34,15 @@ RESTART_THRESHOLD = 3e-3  # m of mean tip error above which a frame is restarted
 FINGERTIP_WEIGHT = 1.0  # w_f
 PALM_WEIGHT = 0.1  # w_o
 SMOOTH_WEIGHT = 0.05  # w_s; a sequence's first frame has no predecessor and uses 0
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call, so that a process
+    that never retargets never loads scipy. Solves go through this module name,
+    which a profiler can wrap."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class RetargetError(ValueError):

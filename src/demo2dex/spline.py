@@ -10,7 +10,6 @@ derivative for a piecewise cubic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 
 class SplineError(ValueError):
@@ -25,6 +24,8 @@ def _interior_solve(h: np.ndarray, rhs: np.ndarray, m0, mlast) -> np.ndarray:
     with M[0] = m0 and M[n-1] = mlast moved to the right-hand side.
     rhs, m0, mlast may carry a trailing joint dimension.
     """
+    from scipy.linalg import solve_banded
+
     n = len(h) + 1
     k = n - 2
     if k == 0:

@@ -18,6 +18,13 @@ STRIDE = 4  # toy3 run recording: every 4th frame of the bundled lift
 
 BUNDLED_HANDS = ["toy3", "adroit24", "allegro16", "leap16"]
 
+# coplanar, collinear and coincident vertex sets: convex pieces with no volume
+FLAT_PIECES = {
+    "coplanar": [[0.0, 0.0, 0.0], [0.02, 0.0, 0.0], [0.0, 0.02, 0.0], [0.02, 0.02, 0.0], [0.01, 0.01, 0.0]],
+    "collinear": [[0.01 * k, 0.02 * k, -0.01 * k] for k in range(5)],
+    "coincident": [[0.01, 0.02, 0.03]] * 4,
+}
+
 L1, L2 = 0.05, 0.04  # planar finger segment lengths
 
 

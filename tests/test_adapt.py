@@ -236,6 +236,23 @@ class TestActionRescaler:
             back = rs.encode(out, base)
             assert np.allclose(rs.decode(back, base), out, atol=1e-9)
 
+    def test_residual_is_the_clipped_definition_bit_for_bit(self, toy_hand):
+        # the definition: clip the residual, add it to the encoded target, clip
+        # again; with the target encoded once per row, as GraspEnv does
+        rs = self.make(toy_hand)
+        rows = toy_hand.limits_lo + RNG.random((50, toy_hand.dof)) * (toy_hand.limits_hi - toy_hand.limits_lo)
+        encoded = rs.encode(rows, rows)
+        odd = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, DELTA_MAX, -DELTA_MAX, 1.0, -1.0]
+        for base, a_base in zip(rows, encoded):
+            assert a_base.tobytes() == rs.encode(base, base).tobytes()
+            delta = RNG.normal(0.0, 0.1, toy_hand.dof)
+            pick = RNG.random(toy_hand.dof) < 0.3
+            delta[pick] = RNG.choice(odd, pick.sum())
+            a = np.clip(rs.encode(base, base) + np.clip(delta, -DELTA_MAX, DELTA_MAX), -1.0, 1.0)
+            want = rs.decode(a, base).tobytes()
+            assert rs.residual(base, delta, a_base).tobytes() == want
+            assert rs.residual(base, delta).tobytes() == want
+
 
 class FakeRecord:
     """Replay-record stand-in carrying only what pre-grasp selection reads."""

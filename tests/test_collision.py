@@ -1,12 +1,16 @@
-"""GJK and signed-distance queries against optimization-based oracles, and
-the face-plane test that lets detection skip a query."""
+"""GJK and signed-distance queries against optimization-based oracles, the
+face-plane test that lets detection skip a query, and the piece checks and
+hull that qhull builds on first read."""
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull
 
 from demo2dex.collision import (
+    HULL_FIELDS,
     ConvexPiece,
     GeometryError,
     gjk_segment_convex,
@@ -15,6 +19,8 @@ from demo2dex.collision import (
     segment_piece_signed,
 )
 from demo2dex.simworld import CULL_SLACK, DETECT_MARGIN
+
+from conftest import FLAT_PIECES
 
 RNG = np.random.default_rng(23)
 
@@ -174,11 +180,56 @@ def test_project_to_surface_union():
     assert abs(surf[0] - 0.04) < 1e-9
 
 
+def thin_tetrahedron(thickness: float) -> np.ndarray:
+    """Four vertices 0.06 m from the origin, one lifted `thickness` off the
+    plane of the other three."""
+    return np.array([[-0.06, 0.0, 0.0], [0.06, 0.0, 0.0], [0.0, -0.06, 0.0], [0.0, 0.06, thickness]])
+
+
+def assert_is_qhulls_hull(piece: ConvexPiece):
+    """The lazily built hull fields hold, bit for bit, what qhull gives."""
+    hull = ConvexHull(piece.vertices)
+    assert piece.simplices.dtype == hull.simplices.dtype
+    assert piece.simplices.tobytes() == hull.simplices.tobytes()
+    assert piece.face_n.tobytes() == np.ascontiguousarray(hull.equations[:, :3]).tobytes()
+    assert piece.face_b.tobytes() == (-hull.equations[:, 3]).tobytes()
+    assert piece.planes == list(dict.fromkeys(map(tuple, hull.equations.tolist())))
+    assert np.float64(piece.volume).tobytes() == np.float64(hull.volume).tobytes()
+
+
 def test_degenerate_vertices_rejected():
     with pytest.raises(GeometryError):
         ConvexPiece(np.zeros((0, 3)))
     with pytest.raises(GeometryError):
         ConvexPiece(np.array([[0.0, 0.0]]))
+    for verts in FLAT_PIECES.values():
+        with pytest.raises(GeometryError, match="coplanar, collinear or coincident"):
+            ConvexPiece(np.array(verts))
+
+
+def test_flatness_boundary():
+    # qhull builds a tetrahedron 1e-15 thick at this scale; one 1e-16 thick
+    # is flat to the rank test and never reaches qhull
+    piece = ConvexPiece(thin_tetrahedron(1e-15))
+    assert piece.volume > 0.0
+    with pytest.raises(GeometryError, match="coplanar, collinear or coincident"):
+        ConvexPiece(thin_tetrahedron(1e-16))
+    # 7e-16 thick with eight more vertices on the base: qhull builds it, but
+    # matrix_rank's default tolerance, which grows with the vertex count,
+    # would call it flat
+    tet = thin_tetrahedron(7e-16)
+    v = np.vstack([tet[:3], [[0.0, -0.03 + 0.01 * k, 0.0] for k in range(8)], tet[3:]])
+    assert np.linalg.matrix_rank(v - v[0]) == 2
+    assert_is_qhulls_hull(ConvexPiece(v))
+
+
+def test_piece_that_only_qhull_rejects_raises_on_first_hull_read():
+    # found by scanning the thickness: 3e-16 passes the rank test (smallest
+    # singular value 5.3 eps of the largest), and qhull refuses it
+    piece = ConvexPiece(thin_tetrahedron(3e-16))
+    for field in HULL_FIELDS:
+        with pytest.raises(GeometryError, match="qhull"):
+            getattr(piece, field)
 
 
 def random_piece(seed: int) -> ConvexPiece:
@@ -221,3 +272,34 @@ def test_plane_test_skips_only_pairs_beyond_the_margin(lift_demo, data):
     for dist in (reach, reach * CULL_SLACK):
         if piece.separates(a.tolist(), b.tolist(), dist):
             assert segment_piece_signed(a, b, r, piece)[0] > DETECT_MARGIN, dist
+
+
+def test_bundled_box_hull_is_qhulls(lift_demo):
+    for piece in lift_demo.geometry.pieces:
+        assert_is_qhulls_hull(piece)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_random_hull_is_qhulls(seed):
+    assert_is_qhulls_hull(random_piece(seed))
+
+
+@pytest.mark.parametrize("first", HULL_FIELDS)
+def test_one_hull_read_builds_every_field_once(first, monkeypatch):
+    builds = []
+
+    def counting_hull(points):
+        builds.append(points)
+        return ConvexHull(points)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting_hull)
+    piece = box_piece([0.01, 0.02, 0.03])
+    assert not builds
+    getattr(piece, first)
+    assert len(builds) == 1
+    for field in HULL_FIELDS:
+        getattr(piece, field)
+    assert len(builds) == 1
+    assert not hasattr(piece, "no_such_field")
+    assert len(builds) == 1

@@ -20,6 +20,8 @@ from demo2dex.demo import (
 from demo2dex.retarget import HAND_FRAME_DIM
 from demo2dex.synthetic import BOX_HALF, asset_path
 
+from conftest import FLAT_PIECES
+
 
 @pytest.fixture(scope="module")
 def record() -> dict:
@@ -65,6 +67,15 @@ def test_rejects_malformed_record(record, corrupt):
     data = copy.deepcopy(record)
     corrupt(data)
     with pytest.raises(DemoError):
+        demo_from_dict(data)
+
+
+@pytest.mark.parametrize("flat", sorted(FLAT_PIECES))
+def test_flat_piece_is_named_by_its_index(record, flat):
+    data = copy.deepcopy(record)
+    box = data["object_geometry"]["pieces"][0]
+    data["object_geometry"]["pieces"] = [box, FLAT_PIECES[flat]]
+    with pytest.raises(DemoError, match="object piece 1: degenerate convex piece: coplanar"):
         demo_from_dict(data)
 
 

@@ -6,7 +6,10 @@ The run is the `toy3_run` fixture of conftest.py.
 import copy
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -252,6 +255,46 @@ def test_malformed_trajectory_row_is_named(toy3_run, tmp_path, row, problem):
     (run_dir / "trajectory.json").write_text(json.dumps(traj))  # NaN needs the lenient writer
     with pytest.raises(pipeline.PipelineError, match=f"trajectory pose row 7 {problem}"):
         evaluate_run(run_dir)
+
+
+COLD_PATHS = """
+import json, sys
+
+import numpy as np
+
+def check(step):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{step} loaded {loaded[:3]}"
+
+import demo2dex
+check("import demo2dex")
+from demo2dex import cli, pipeline, retarget
+cfg = pipeline.resolve_config("lift_box_toy")
+model, _ = pipeline.resolve_hand(cfg["hand"])
+demo, _ = pipeline.resolve_demo(cfg["demo"])
+check("resolving the bundled task")
+config, out_dir, run_dir = json.loads(sys.argv[1])
+report, verified = pipeline.evaluate_run(run_dir)
+assert verified
+check("evaluate_run")
+assert pipeline.run_transfer(config, out_dir, no_rl=True).cached
+check("a cached run_transfer")
+assert cli.main(["report", run_dir]) == 0
+check("transfer report")
+res = retarget.retarget_frame(model, demo.hand[0], model.clamp(np.zeros(model.dof)))
+assert res.converged and "scipy.optimize" in sys.modules
+"""
+
+
+def test_cold_paths_load_no_scipy(toy3_config, toy3_run, tmp_path):
+    # a process that scores, reports or re-serves finished runs never pays
+    # for scipy; its first retarget imports it and still solves
+    run_dir = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, run_dir)
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    arg = json.dumps([toy3_config, str(tmp_path), str(run_dir)])
+    subprocess.run([sys.executable, "-c", COLD_PATHS, arg], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def test_evaluate_run_needs_a_finished_run(tmp_path):

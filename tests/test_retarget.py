@@ -1,8 +1,11 @@
-"""Retargeting recovers the joint vectors whose kinematics made its targets."""
+"""Retargeting recovers the joint vectors whose kinematics made its targets,
+and every solve goes through the module's `minimize`."""
 import numpy as np
 import pytest
+import scipy.optimize
 
-from demo2dex.pipeline import resolve_hand
+from demo2dex import retarget
+from demo2dex.pipeline import resolve_demo, resolve_hand
 from demo2dex.retarget import HUMAN_FINGERS, retarget_frame
 
 from conftest import BUNDLED_HANDS
@@ -28,3 +31,33 @@ def test_retarget_frame_recovers_fk_targets(hand_name):
         q0 = model.clamp(q_star + RNG.uniform(-0.1, 0.1, model.dof))
         res = retarget_frame(model, fk_frame(model, q_star), q0, smooth_weight=0.0)
         assert res.mean_tip_error <= 1e-3
+
+
+def test_every_solve_goes_through_the_module_minimize(monkeypatch):
+    # a profiler wraps `retarget.minimize` by name: it must see each solve
+    # scipy makes, the warm start of every frame and every restart
+    model, _ = resolve_hand("toy3")
+    demo, _ = resolve_demo("lift_box")
+    frames = demo.hand[::60]
+    solved, seen = [], []
+    scipy_minimize, module_minimize = scipy.optimize.minimize, retarget.minimize
+
+    def scipy_counted(fun, x0, **kwargs):
+        solved.append(x0)
+        return scipy_minimize(fun, x0, **kwargs)
+
+    def module_counted(fun, x0, **kwargs):
+        seen.append(x0)
+        return module_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", scipy_counted)
+    monkeypatch.setattr(retarget, "minimize", module_counted)
+    seq = retarget.retarget_sequence(model, frames)
+    assert len(seen) == len(solved)
+    assert all(a is b for a, b in zip(seen, solved))
+    # each frame's warm start is the clamped previous solution; every other
+    # solve is a restart, and this stretch of the lift needs some
+    warm = [model.clamp(q) for q in [model.mid_range(), *seq.q_path[:-1]]]
+    starts = [i for i, x0 in enumerate(seen) if any(np.array_equal(x0, w) for w in warm)]
+    assert len(starts) == len(frames)
+    assert len(seen) > len(frames)
