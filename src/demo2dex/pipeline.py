@@ -27,7 +27,7 @@ import logging
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -50,7 +50,7 @@ from .metrics import (
 )
 from .ppo import TrainConfig, train_residual_policy
 from .retarget import ControlPlan, fit_smooth_trajectory, retarget_sequence, to_control_sequence
-from .simworld import CONTROL_FREQUENCY, SimConfig, SimWorld, replay
+from .simworld import CONTROL_FREQUENCY, SimConfig, SimWorld, WorldState, replay
 from .wrist import WristPlanError, plan_wrist, track_manipulation
 
 VERSION = "0.1.0"
@@ -112,7 +112,6 @@ class RunResult:
     metrics: MetricReport
     grasp_success: bool
     cached: bool
-    warnings: list[str] = field(default_factory=list)
 
     def summary(self) -> dict:
         d = self.metrics.to_dict()
@@ -177,6 +176,45 @@ def _score(traj: dict, demo: DemoSequence) -> MetricReport:
     )
 
 
+def grasp_episode(
+    model: HandModel, demo: DemoSequence, sim_cfg: SimConfig, name: str
+) -> tuple[ControlPlan, list[WorldState], GraspEnv, list[str]]:
+    """Retarget, spline, episode window, primary replay up to the goal, and the
+    `GraspEnv` on the replay's snapshot at the pregrasp step. Returns the plan,
+    the replay's states, the env and the warnings; `name` labels the log lines."""
+    # -- retarget ------------------------------------------------------------
+    t0 = time.perf_counter()
+    seq = retarget_sequence(model, demo.hand)
+    warnings = list(seq.warnings)
+    spline = fit_smooth_trajectory(seq.q_path, demo.fps)
+    a_primary = to_control_sequence(spline, model, CONTROL_FREQUENCY)
+    plan = ControlPlan(seq.q_path, spline, a_primary, CONTROL_FREQUENCY, demo.fps)
+    plan.validate_limits(model)
+    mean_tip = float(np.mean([fr.mean_tip_error for fr in seq.frame_results]))
+    log.info(
+        "%s: retargeted %d frames (mean tip error %.2f mm) in %.1fs",
+        name, demo.length, 1e3 * mean_tip, time.perf_counter() - t0,
+    )
+
+    # -- episode window, primary replay up to the goal, episode start ----------
+    t0 = time.perf_counter()
+    mapped = map_contacts(extract_contacts(demo), model)
+    episode = build_episode(demo, plan)
+    world = SimWorld(model, demo.geometry, sim_cfg, plan.q_path[0], demo.object_poses[0])
+    # the episode starts before the goal step, so the replay stops there
+    records, starts = replay(world, plan.a_primary[: episode.goal_step])
+    episode.pregrasp_step, w = select_pregrasp(records, mapped)
+    episode.warnings += w
+    warnings += episode.warnings
+    env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped)  # the one snapshot kept
+    log.info(
+        "%s: episode steps [%d, %d) around goal %d (replayed in %.1fs)",
+        name, episode.pregrasp_step, episode.horizon, episode.goal_step,
+        time.perf_counter() - t0,
+    )
+    return plan, records, env, warnings
+
+
 def run_transfer(
     config: dict,
     out_dir,
@@ -226,49 +264,13 @@ def run_transfer(
                 metrics=MetricReport.from_dict(stored["metrics"]),
                 grasp_success=bool(stored["grasp_success"]),
                 cached=True,
-                warnings=list(stored.get("warnings", [])),
             )
     model, _ = resolve_hand(hand_path)
     demo, _ = resolve_demo(demo_path)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)  # unfinished until the new manifest lands
-    warnings: list[str] = []
-
-    # -- retarget ------------------------------------------------------------
-    t0 = time.perf_counter()
-    seq = retarget_sequence(model, demo.hand)
-    warnings += seq.warnings
-    spline = fit_smooth_trajectory(seq.q_path, demo.fps)
-    frequency = CONTROL_FREQUENCY
-    a_primary = to_control_sequence(spline, model, frequency)
-    plan = ControlPlan(
-        q_path=seq.q_path, spline=spline, a_primary=a_primary, frequency=frequency, fps=demo.fps
-    )
-    plan.validate_limits(model)
-    mean_tip = float(np.mean([fr.mean_tip_error for fr in seq.frame_results]))
-    log.info(
-        "%s: retargeted %d frames (mean tip error %.2f mm) in %.1fs",
-        run_dir.name, demo.length, 1e3 * mean_tip, time.perf_counter() - t0,
-    )
-
-    # -- episode window, primary replay up to the goal, episode start ----------
-    t0 = time.perf_counter()
-    mapped = map_contacts(extract_contacts(demo), model)
-    episode = build_episode(demo, plan)
-    obj0 = demo.object_poses[0]
-    world = SimWorld(model, demo.geometry, sim_cfg, plan.q_path[0], obj0)
-    # the episode starts before the goal step, so the replay stops there
-    records, starts = replay(world, plan.a_primary[: episode.goal_step])
-    episode.pregrasp_step, w = select_pregrasp(records, mapped)
-    episode.warnings += w
-    warnings += episode.warnings
-    env = GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped)
-    del starts  # only the start snapshot is kept
-    log.info(
-        "%s: episode steps [%d, %d) around goal %d (replayed in %.1fs)",
-        run_dir.name, episode.pregrasp_step, episode.horizon, episode.goal_step,
-        time.perf_counter() - t0,
-    )
+    plan, records, env, warnings = grasp_episode(model, demo, sim_cfg, run_dir.name)
+    episode, mapped, frequency = env.episode, env.mapped, plan.frequency
 
     # -- residual training -------------------------------------------------------
     train_result = None
@@ -314,7 +316,7 @@ def run_transfer(
     path = [*prefix, *states, *carried]
     trajectory = {
         "frequency": frequency,
-        "poses": [_pose_row(obj0)] + [_pose_row(s.object_pose) for s in path],
+        "poses": [_pose_row(demo.object_poses[0])] + [_pose_row(s.object_pose) for s in path],
         "contacts": [False] + [s.hand_contact for s in path],
         "prefix_len": 1 + len(prefix),
         "grasp_len": len(states),
@@ -385,7 +387,6 @@ def run_transfer(
         metrics=report,
         grasp_success=grasp_ok,
         cached=False,
-        warnings=warnings,
     )
 
 

@@ -70,14 +70,6 @@ class RunningNorm:
     def to_dict(self) -> dict:
         return {"mean": self.mean, "var": self.var, "count": self.count}
 
-    @staticmethod
-    def from_dict(d: dict) -> "RunningNorm":
-        rn = RunningNorm(len(d["mean"]))
-        rn.mean = np.asarray(d["mean"], dtype=np.float64)
-        rn.var = np.asarray(d["var"], dtype=np.float64)
-        rn.count = float(d["count"])
-        return rn
-
 
 class MLP:
     """Fully connected tanh network with explicit forward/backward."""
@@ -123,14 +115,6 @@ class MLP:
 
     def to_dict(self) -> dict:
         return {"sizes": self.sizes, "Ws": self.Ws, "bs": self.bs}
-
-    @staticmethod
-    def from_dict(d: dict) -> "MLP":
-        mlp = MLP.__new__(MLP)
-        mlp.sizes = list(d["sizes"])
-        mlp.Ws = [np.asarray(w, dtype=np.float64) for w in d["Ws"]]
-        mlp.bs = [np.asarray(b, dtype=np.float64) for b in d["bs"]]
-        return mlp
 
 
 class Adam:
@@ -194,10 +178,6 @@ class GaussianPolicy:
 
     def to_dict(self) -> dict:
         return {"net": self.net.to_dict(), "log_std": self.log_std}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GaussianPolicy":
-        return GaussianPolicy(MLP.from_dict(d["net"]), np.asarray(d["log_std"], dtype=np.float64))
 
 
 @dataclass

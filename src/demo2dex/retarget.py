@@ -249,13 +249,3 @@ class ControlPlan:
             "frequency": self.frequency,
             "fps": self.fps,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ControlPlan":
-        return ControlPlan(
-            q_path=np.asarray(data["q_path"], dtype=np.float64),
-            spline=JerkMinSpline.from_dict(data["spline"]),
-            a_primary=np.asarray(data["a_primary"], dtype=np.float64),
-            frequency=float(data["frequency"]),
-            fps=float(data["fps"]),
-        )

@@ -37,6 +37,10 @@ Model choices, in order of importance:
   records it otherwise. Such a step then runs only the joint servo with no
   reaction, FK, and the hand half of detection. A step with a hand contact in
   its set ends the lineage for that world until the next `reset`.
+* A step reports the contacts that pushed the object as `ContactRecord`s,
+  immutable named tuples of float triples, built once per recorded step: a
+  world that reads a step from the lineage table hands out the very records
+  that the recording world did.
 
 Everything is double precision, sequential, and bitwise deterministic.
 
@@ -73,7 +77,6 @@ class SimDivergenceError(RuntimeError):
     def __init__(self, step: int, energy: float):
         super().__init__(f"simulation diverged at step {step}: kinetic energy {energy:.1f} J")
         self.step = step
-        self.energy = energy
 
 
 # The control period has one home: every plan is sampled at CONTROL_FREQUENCY
@@ -121,26 +124,25 @@ def default_gains(model: HandModel) -> tuple[np.ndarray, np.ndarray]:
     return kp, kd
 
 
-@dataclass
-class ContactRecord:
+class ContactRecord(NamedTuple):
     body: str  # hand link name, or "ground"
     piece: int
-    point: np.ndarray  # world
-    normal: np.ndarray  # world, pushing the object away from the other body
-    force: np.ndarray  # world force applied to the object
+    point: tuple[float, float, float]  # world
+    normal: tuple[float, float, float]  # world, pushing the object away from the other body
+    force: tuple[float, float, float]  # world force applied to the object
 
 
 @dataclass
 class WorldState:
-    """Immutable snapshot handed to callers after each step."""
+    """Snapshot handed to callers after each step. Its arrays are fresh; its
+    contact records, immutable float triples, are shared along a lineage."""
 
     q: np.ndarray
     qdot: np.ndarray
     object_pose: Pose6
     v: np.ndarray
     w: np.ndarray
-    step_index: int
-    contacts: list[ContactRecord]
+    contacts: tuple[ContactRecord, ...]
     fingertips: np.ndarray  # (K, 3) world fingertip site positions
     hand_contact: bool  # any hand-object contact this step
 
@@ -174,14 +176,14 @@ class _Outcome(NamedTuple):
     """What a step with no hand contact in its set does to the object, from
     the object's state alone: the new rotation, velocities and COM as floats,
     the ground contacts of the new state's detection, and the step's contact
-    records as (body, piece, normal, point, force)."""
+    records, which every world of the lineage hands out as they are."""
 
     rot: Rotation3
     v: tuple
     w: tuple
     com: tuple
     ground: list[tuple[tuple, _Contact]]
-    touches: list[tuple]
+    records: tuple[ContactRecord, ...]
 
 
 def _transform(rows, t, u) -> tuple[float, float, float]:
@@ -536,16 +538,16 @@ class SimWorld:
         if energy > cfg.energy_limit:
             raise SimDivergenceError(self.step_index, energy)
         self._detect()
-        touches = [
-            (c.link, key[2] if key[0] == "h" else key[1], c.normal, p_o, f_vec)
+        records = tuple(
+            ContactRecord(c.link, key[2] if key[0] == "h" else key[1], p_o, c.n, f_vec)
             for key, (c, p_o, f_vec) in touched.items()
-        ]
+        )
         if lineage is not None:
             lineage[k] = _Outcome(
                 rot, (v0, v1, v2), (w0, w1, w2), (c0, c1, c2),
-                [(key, c.copy()) for key, c in self._contacts.items() if key[0] == "g"], touches,
+                [(key, c.copy()) for key, c in self._contacts.items() if key[0] == "g"], records,
             )
-        return self._state(touches, any(key[0] == "h" for key in touched))
+        return self._state(records, any(key[0] == "h" for key in touched))
 
     def _step_hand(self, a: np.ndarray, known: _Outcome) -> WorldState:
         """A step whose object outcome the lineage table holds: no hand contact
@@ -561,7 +563,7 @@ class SimWorld:
         self.step_index += 1
         self.fkres = self.model.fk(self.q)
         self._detect(known.ground)
-        return self._state(known.touches, False)
+        return self._state(known.records, False)
 
     def _servo(self, a: np.ndarray, h: float, tau_react: np.ndarray) -> None:
         """One substep of the joints: PD servo toward `a` with contact reaction
@@ -577,19 +579,15 @@ class SimWorld:
             self.qdot[below & (self.qdot < 0)] = 0.0
             self.qdot[above & (self.qdot > 0)] = 0.0
 
-    def _state(self, touches: list[tuple], hand_contact: bool) -> WorldState:
-        """The snapshot of the current state, with fresh arrays throughout."""
+    def _state(self, records: tuple[ContactRecord, ...], hand_contact: bool) -> WorldState:
+        """The snapshot of the current state, with fresh arrays and the step's records."""
         return WorldState(
             q=self.q.copy(),
             qdot=self.qdot.copy(),
             object_pose=self._pose,
             v=self.v.copy(),
             w=self.w.copy(),
-            step_index=self.step_index,
-            contacts=[
-                ContactRecord(body=body, piece=piece, point=np.array(p_o), normal=n.copy(), force=np.array(f_vec))
-                for body, piece, n, p_o, f_vec in touches
-            ],
+            contacts=records,
             fingertips=self.model.fingertip_positions(self.fkres),
             hand_contact=hand_contact,
         )

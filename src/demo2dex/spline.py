@@ -154,11 +154,3 @@ class JerkMinSpline:
             "values": self.values.tolist(),
             "m2": self.m2.tolist(),
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "JerkMinSpline":
-        return JerkMinSpline(
-            np.asarray(data["times"], dtype=np.float64),
-            np.asarray(data["values"], dtype=np.float64),
-            np.asarray(data["m2"], dtype=np.float64),
-        )

@@ -36,7 +36,6 @@ class ManipulationPlan:
     controls: np.ndarray  # (S, D) joint-space PD targets
     reference_poses: list[Pose6]  # object poses the plan is trying to realize
     start_step: int  # absolute control step where the manipulation phase begins
-    attachment: Pose6  # wrist pose expressed in the object frame
     warnings: list[str] = field(default_factory=list)
 
 
@@ -110,7 +109,6 @@ def plan_wrist(
         controls=controls,
         reference_poses=refs,
         start_step=start_step,
-        attachment=attachment,
         warnings=warnings,
     )
 

@@ -16,17 +16,17 @@ from demo2dex.adapt import (
     EpisodeSpec,
     GraspEnv,
     MappedContact,
-    build_episode,
     compute_reward,
     find_goal_frame,
     map_contacts,
     select_pregrasp,
 )
-from demo2dex.demo import ContactSet, extract_contacts
+from demo2dex.demo import ContactSet
 from demo2dex.geometry import Pose6, Rotation3
 from demo2dex.hand import HandModel
-from demo2dex.retarget import ControlPlan, fit_smooth_trajectory, retarget_sequence, to_control_sequence
-from demo2dex.simworld import CONTROL_FREQUENCY, SimConfig, SimWorld, replay
+from demo2dex.pipeline import grasp_episode
+from demo2dex.retarget import ControlPlan, fit_smooth_trajectory
+from demo2dex.simworld import SimConfig, SimWorld
 
 RNG = np.random.default_rng(31)
 
@@ -410,24 +410,6 @@ def test_find_goal_frame_warns_without_motion(lift_demo):
     assert warnings  # static recording earns an explicit warning
 
 
-def full_rate_lift_env(model, demo, config) -> GraspEnv:
-    """The grasp episode of a full-rate `lift_box_toy` run, built as
-    `run_transfer` builds it: retarget, spline, replay up to the goal, and the
-    replay's snapshot at the pregrasp step."""
-    seq = retarget_sequence(model, demo.hand)
-    spline = fit_smooth_trajectory(seq.q_path, demo.fps)
-    plan = ControlPlan(
-        q_path=seq.q_path, spline=spline, a_primary=to_control_sequence(spline, model, CONTROL_FREQUENCY),
-        frequency=CONTROL_FREQUENCY, fps=demo.fps,
-    )
-    mapped = map_contacts(extract_contacts(demo), model)
-    episode = build_episode(demo, plan)
-    world = SimWorld(model, demo.geometry, SimConfig(**config["sim"]), plan.q_path[0], demo.object_poses[0])
-    records, starts = replay(world, plan.a_primary[: episode.goal_step])
-    episode.pregrasp_step, _ = select_pregrasp(records, mapped)
-    return GraspEnv(starts[episode.pregrasp_step], plan, episode, mapped)
-
-
 def constant_residual_episode(env: GraspEnv, finger_residual: float):
     """Run one episode under a constant residual on every finger joint, wrist
     zero. Returns the steps with a hand contact, the success flag, the final
@@ -445,12 +427,13 @@ def constant_residual_episode(env: GraspEnv, finger_residual: float):
 
 
 def test_closing_residual_grasps_the_bundled_lift(toy_hand, lift_demo, toy_config):
-    """The simulator and the reward still allow a grasp: on the full-rate
-    recording with the bundled `sim` section, the saturated closing residual
-    (+DELTA_MAX on every finger joint) holds and lifts the box to the target,
-    and the zero residual never touches it. The rate matters: at every 4th
-    frame, or with `SimConfig()` defaults, the same residual does not grasp."""
-    env = full_rate_lift_env(toy_hand, lift_demo, toy_config)
+    """The simulator and the reward still allow a grasp: in the episode that
+    `run_transfer` builds on the full-rate recording with the bundled `sim`
+    section, the saturated closing residual (+DELTA_MAX on every finger joint)
+    holds and lifts the box to the target, and the zero residual never touches
+    it. The rate matters: at every 4th frame, or with `SimConfig()` defaults,
+    the same residual does not grasp."""
+    _, _, env, _ = grasp_episode(toy_hand, lift_demo, SimConfig(**toy_config["sim"]), toy_config["name"])
     assert (env.episode.pregrasp_step, env.episode.length) == (80, 130)
     # the zero episode runs first, so the grasp starts from a used environment
     touching, success, z, _ = constant_residual_episode(env, 0.0)

@@ -246,10 +246,10 @@ span = st.tuples(*[st.floats(-0.12, 0.12)] * 3)
 @settings(max_examples=400, deadline=None)
 def test_plane_test_skips_only_pairs_beyond_the_margin(lift_demo, data):
     """Whenever both segment endpoints lie beyond one face plane by more than
-    r + DETECT_MARGIN, the exact query puts the capsule farther than
-    DETECT_MARGIN from the piece, with or without detection's slack. Pieces
-    are random hulls and the bundled box; each endpoint lies anywhere around
-    the piece, or r + DETECT_MARGIN off a face plane to within 1e-12."""
+    (r + DETECT_MARGIN) * CULL_SLACK, as detection tests them, the exact query
+    puts the capsule farther than DETECT_MARGIN from the piece. Pieces are
+    random hulls and the bundled box; each endpoint lies anywhere around the
+    piece, or r + DETECT_MARGIN off a face plane to within 1e-12."""
     if data.draw(st.booleans(), label="bundled box"):
         piece = lift_demo.geometry.pieces[0]
     else:
@@ -269,9 +269,20 @@ def test_plane_test_skips_only_pairs_beyond_the_margin(lift_demo, data):
         else:
             ends.append(piece.centroid + np.array(data.draw(span)))
     a, b = ends
-    for dist in (reach, reach * CULL_SLACK):
-        if piece.separates(a.tolist(), b.tolist(), dist):
-            assert segment_piece_signed(a, b, r, piece)[0] > DETECT_MARGIN, dist
+    if piece.separates(a.tolist(), b.tolist(), reach * CULL_SLACK):
+        assert segment_piece_signed(a, b, r, piece)[0] > DETECT_MARGIN
+
+
+def test_plane_test_needs_its_slack(lift_demo):
+    """Why detection's plane test carries CULL_SLACK: a point 2 mm below the
+    bundled box reads beyond the bottom face plane by more than DETECT_MARGIN
+    in floats, while the exact query puts it within the margin."""
+    piece = lift_demo.geometry.pieces[0]
+    p = (0.0, 0.0234375, -0.032)
+    assert piece.separates(p, p, DETECT_MARGIN)
+    assert not piece.separates(p, p, DETECT_MARGIN * CULL_SLACK)
+    d = segment_piece_signed(np.array(p), np.array(p), 0.0, piece)[0]
+    assert d == 0.001999999999999995 <= DETECT_MARGIN
 
 
 def test_bundled_box_hull_is_qhulls(lift_demo):

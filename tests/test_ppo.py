@@ -97,15 +97,6 @@ class TestMLP:
         assert y.shape == (7, 3)
         assert cache[0].shape == (7, 4)
 
-    def test_dict_round_trip(self):
-        rng = np.random.default_rng(11)
-        net = MLP([2, 6, 2], rng)
-        x = rng.normal(size=(5, 2))
-        y0, _ = net.forward(x)
-        clone = MLP.from_dict(net.to_dict())
-        y1, _ = clone.forward(x)
-        np.testing.assert_array_equal(y0, y1)
-
 
 class TestAdam:
     def test_first_step_hand_computed(self):
@@ -188,13 +179,6 @@ class TestGaussianPolicy:
         np.testing.assert_array_equal(a1, a2)
         assert lp1 == lp2
 
-    def test_dict_round_trip(self):
-        pol = GaussianPolicy.build(3, 2, [4, 4], 0.3, np.random.default_rng(9))
-        clone = GaussianPolicy.from_dict(pol.to_dict())
-        x = np.array([0.5, -1.0, 2.0])
-        np.testing.assert_array_equal(pol.mean(x), clone.mean(x))
-        np.testing.assert_array_equal(pol.log_std, clone.log_std)
-
 
 class TestRunningNorm:
     def test_streaming_matches_full_batch(self):
@@ -213,15 +197,6 @@ class TestRunningNorm:
         rn.var = np.ones(2)
         out = rn.normalize(np.array([1e6, -1e6]))
         np.testing.assert_array_equal(out, [OBS_CLIP, -OBS_CLIP])
-
-    def test_dict_round_trip(self):
-        rn = RunningNorm(3)
-        rn.update(np.random.default_rng(2).normal(size=(50, 3)))
-        clone = RunningNorm.from_dict(
-            {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in rn.to_dict().items()}
-        )
-        x = np.array([0.3, -0.1, 2.0])
-        np.testing.assert_allclose(clone.normalize(x), rn.normalize(x), atol=1e-15)
 
 
 class _CountdownEnv:

@@ -18,6 +18,7 @@ from demo2dex.simworld import (
     DETECT_MARGIN,
     DT,
     SUBSTEPS,
+    ContactRecord,
     SimConfig,
     SimDivergenceError,
     SimWorld,
@@ -317,7 +318,7 @@ def assert_same_step(got, want):
     assert [(c.body, c.piece) for c in got.contacts] == [(c.body, c.piece) for c in want.contacts]
     for g, c in zip(got.contacts, want.contacts):
         for name in ("point", "normal", "force"):
-            assert getattr(g, name).tobytes() == getattr(c, name).tobytes(), name
+            assert np.array(getattr(g, name)).tobytes() == np.array(getattr(c, name)).tobytes(), name
 
 
 def assert_same_world(got: SimWorld, want: SimWorld):
@@ -484,11 +485,36 @@ def test_closing_replay_contact_records_are_pinned(toy_hand, lift_demo):
     for state in states:
         for c in state.contacts:
             digest.update(f"{c.body}|{c.piece}|".encode())
-            digest.update(c.point.tobytes() + c.normal.tobytes() + c.force.tobytes())
+            digest.update(np.array(c.point).tobytes() + np.array(c.normal).tobytes() + np.array(c.force).tobytes())
             n_records += 1
             n_hand += c.body != "ground"
     assert (n_records, n_hand) == (188, 62)
     assert digest.hexdigest() == "8c03227c7d113addb8c46ad61a808f72abbf078059732ce306d29be445b87b1f"
+
+
+def test_contact_records_are_immutable_and_shared_along_a_lineage(toy_hand, lift_demo):
+    """Every record field is a str, an int or a triple of Python floats, no
+    field can be assigned, and a clone that reads a recorded lineage step
+    hands out the very records that the recording world returned."""
+    controls = closing_controls(toy_hand)
+    world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), controls[0], lift_demo.object_poses[0])
+    states, starts = replay(world, controls)
+    records = [c for state in states for c in state.contacts]
+    assert any(c.body != "ground" for c in records)
+    for c in records:
+        assert type(c.body) is str and type(c.piece) is int
+        for triple in (c.point, c.normal, c.force):
+            assert type(triple) is tuple and [type(x) for x in triple] == [float] * 3
+    for name in ContactRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(records[0], name, getattr(records[0], name))
+    clone = starts[0]
+    recorded = sorted(clone._lineage)
+    assert recorded == list(range(len(recorded))) and 0 < len(recorded) < len(controls)
+    for k in recorded:
+        got = clone.step(controls[k])
+        assert got.contacts is states[k].contacts, k
+    assert any(states[k].contacts for k in recorded)
 
 
 class Pair(NamedTuple):

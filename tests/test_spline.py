@@ -97,13 +97,6 @@ def test_domain_bounds():
         sp.value(t[-1] + 10.0)
 
 
-def test_dict_round_trip():
-    t, _, sp = random_spline(6, seed=9)
-    back = JerkMinSpline.from_dict(sp.to_dict())
-    for tq in np.linspace(t[0], t[-1], 40):
-        assert np.allclose(back.value(tq), sp.value(tq), atol=1e-12)
-
-
 def test_rejects_bad_knots():
     with pytest.raises(SplineError):
         JerkMinSpline.fit([0.0], [[1.0]])

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps functions of this package by name; every
-name it wraps must exist, so a rename fails here and not only under the
-traced benchmark."""
+name it wraps must exist, and a fresh run must reach each stage through
+them, so a rename or a bypass fails here and not only under the traced
+benchmark."""
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "transferbench"
@@ -26,3 +27,25 @@ def test_benchmark_layers_install_and_restore(monkeypatch):
         tr.uninstall()
     for owner, attr, orig in patches:
         assert _current(owner, attr) is orig, attr
+
+
+def test_traced_fresh_run_fills_the_stage_metrics(monkeypatch, toy3_config, tmp_path):
+    """A fresh traced run reaches every stage through the names the tracer
+    wraps, and the layer metrics read what it recorded."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracer import Tracer
+
+    from demo2dex.pipeline import run_transfer
+
+    tr = Tracer()
+    try:
+        layers.install(tr)
+        tr.phase = "fresh"
+        run_transfer(toy3_config, tmp_path, no_rl=True)
+    finally:
+        tr.uninstall()
+    m = layers.derive(tr, 1, 1)
+    for name in ("retarget.s", "spline.controls_s", "simworld.replay_s", "simworld.steps",
+                 "wrist.track_s", "jsonio.write_s"):
+        assert m[name] > 0, name
