@@ -88,6 +88,18 @@ class ConvexPiece:
         self._build_hull()
         return object.__getattribute__(self, name)
 
+    def __getstate__(self):
+        # the set slots, in `object.__getstate__`'s form: reading an unset
+        # hull field would build the hull, so a copy of an unbuilt piece
+        # stays unbuilt
+        slots = {}
+        for name in self.__slots__:
+            try:
+                slots[name] = object.__getattribute__(self, name)
+            except AttributeError:
+                pass
+        return None, slots
+
     def _build_hull(self) -> None:
         from scipy.spatial import ConvexHull, QhullError
 
@@ -133,9 +145,6 @@ class ConvexPiece:
             if n0 * a0 + n1 * a1 + n2 * a2 + e > dist and n0 * b0 + n1 * b1 + n2 * b2 + e > dist:
                 return True
         return False
-
-    def contains_margin(self, p, margin: float = 1e-9) -> bool:
-        return bool(np.all(self.face_n @ np.asarray(p) <= self.face_b + margin))
 
     def interior_depth(self, p):
         """(depth, surface point, outward normal) for a point inside the hull.

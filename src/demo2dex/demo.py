@@ -13,14 +13,13 @@ normal. Object orientation is a scalar-first unit quaternion.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .collision import ConvexPiece, GeometryError, project_to_surface
 from .geometry import Pose6, Rotation3, row_norms
+from .jsonio import load_json
 from .retarget import HAND_FRAME_DIM
 
 CONTACT_THRESHOLD = 0.05  # fingertips closer than this to the surface count as contacts
@@ -48,13 +47,18 @@ class DemoSequence:
     hand: np.ndarray  # (T, 18)
     object_poses: list[Pose6]  # length T
     geometry: ObjectGeometry
+    rows: InitVar[np.ndarray | None] = None  # the object rows `object_poses` were built from
+    object_rows: np.ndarray = field(init=False, repr=False)  # (T, 7): x, y, z, w, qx, qy, qz
+
+    def __post_init__(self, rows):
+        self.object_rows = np.array([[*p.pos, *p.rot.q] for p in self.object_poses]) if rows is None else rows
 
     @property
     def length(self) -> int:
         return self.hand.shape[0]
 
     def object_positions(self) -> np.ndarray:
-        return np.array([p.pos for p in self.object_poses])
+        return self.object_rows[:, :3]
 
 
 def preprocess_object(pieces_raw, com, mass) -> ObjectGeometry:
@@ -108,7 +112,10 @@ def float_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray]:
     return out, parsed
 
 
-def demo_from_dict(data: dict) -> DemoSequence:
+def recorded_rows(data: dict, hand: bool = True) -> tuple[float, np.ndarray | None, np.ndarray, dict]:
+    """A recording's fps, (T, 18) hand rows (None unless `hand`), (T, 7)
+    object pose rows, quaternions normalised as `Rotation3` normalises them,
+    and object geometry as stored."""
     try:
         fps = float(data["fps"])
         frames = data["frames"]
@@ -122,19 +129,23 @@ def demo_from_dict(data: dict) -> DemoSequence:
     fields, malformed = [], None
     for t, fr in enumerate(frames):
         try:
-            fields.append((fr["hand"], fr["object"]["pos"], fr["object"]["quat"]))
+            fields.append((fr["hand"] if hand else None, fr["object"]["pos"], fr["object"]["quat"]))
         except (KeyError, TypeError) as exc:
             malformed = DemoError(f"frame {t}: malformed record ({exc})")
             break
-    # the frames before a malformed one, checked as three stacked arrays; a
+    # the frames before a malformed one, checked as stacked arrays; a
     # frame's message is its first failing check, in this order
-    hand, hand_ok = float_rows([f[0] for f in fields], HAND_FRAME_DIM)
+    checks, hand_rows = [], None
+    if hand:
+        hand_rows, hand_ok = float_rows([f[0] for f in fields], HAND_FRAME_DIM)
+        checks += [
+            (~hand_ok, f"hand vector must have {HAND_FRAME_DIM} entries"),
+            (~np.isfinite(hand_rows).all(axis=1), "hand vector has non-finite entries"),
+        ]
     pos, pos_ok = float_rows([f[1] for f in fields], 3)
     quat, quat_ok = float_rows([f[2] for f in fields], 4)
     norms = row_norms(quat)
-    checks = [
-        (~hand_ok, f"hand vector must have {HAND_FRAME_DIM} entries"),
-        (~np.isfinite(hand).all(axis=1), "hand vector has non-finite entries"),
+    checks += [
         (~(pos_ok & np.isfinite(pos).all(axis=1)), "object position invalid"),
         (~(quat_ok & np.isfinite(quat).all(axis=1)), "object quaternion invalid"),
         (np.abs(norms - 1.0) > 1e-6, "object quaternion is not unit norm"),
@@ -146,15 +157,20 @@ def demo_from_dict(data: dict) -> DemoSequence:
     if malformed is not None:
         raise malformed
     quat /= norms[:, None]  # as `Rotation3` normalises
-    poses = [Pose6(p, Rotation3(q, normalize=False)) for p, q in zip(pos, quat)]
+    return fps, hand_rows, np.hstack([pos, quat]), geo
+
+
+def demo_from_dict(data: dict) -> DemoSequence:
+    fps, hand, rows, geo = recorded_rows(data)
+    poses = [Pose6(r[:3], Rotation3(r[3:], normalize=False)) for r in rows]
     geometry = preprocess_object(
         geo.get("pieces", []), geo.get("com", [0.0, 0.0, 0.0]), geo.get("mass", 0.0)
     )
-    return DemoSequence(fps=fps, hand=hand, object_poses=poses, geometry=geometry)
+    return DemoSequence(fps=fps, hand=hand, object_poses=poses, geometry=geometry, rows=rows)
 
 
 def load_demo(path) -> DemoSequence:
-    return demo_from_dict(json.loads(Path(path).read_text()))
+    return demo_from_dict(load_json(path))
 
 
 # -- contact extraction -----------------------------------------------------------

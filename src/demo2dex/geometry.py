@@ -107,16 +107,6 @@ class Rotation3:
         self._m = m
         return m
 
-    def as_rotvec(self) -> np.ndarray:
-        w, x, y, z = self.q
-        if w < 0.0:  # keep angle in [0, pi]
-            w, x, y, z = -w, -x, -y, -z
-        sin_half = np.sqrt(x * x + y * y + z * z)
-        angle = 2.0 * np.arctan2(sin_half, w)
-        if sin_half < 1e-12:
-            return 2.0 * np.array([x, y, z])
-        return (angle / sin_half) * np.array([x, y, z])
-
     # algebra
 
     def compose(self, other: "Rotation3") -> "Rotation3":
@@ -188,32 +178,6 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def unit_vector_angle(u, v) -> float:
-    """Angle in [0, pi] between two 3-vectors (geodesic distance on the sphere)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < _EPS or nv < _EPS:
-        raise ValueError("cannot measure angle against a zero vector")
-    return float(np.arctan2(np.linalg.norm(cross3(u, v)), float(np.dot(u, v))))
-
-
-def random_rotation(rng: np.random.Generator) -> Rotation3:
-    # Shoemake's uniform quaternion sampling.
-    u1, u2, u3 = rng.random(3)
-    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
-    return Rotation3(
-        np.array(
-            [
-                a * np.sin(2 * np.pi * u2),
-                a * np.cos(2 * np.pi * u2),
-                b * np.sin(2 * np.pi * u3),
-                b * np.cos(2 * np.pi * u3),
-            ]
-        )
-    )
-
-
 class Pose6:
     """Rigid transform: rotation followed by translation (x' = R x + p)."""
 
@@ -258,8 +222,3 @@ class Pose6:
 
     def __repr__(self) -> str:
         return f"Pose6(pos={self.pos.tolist()}, rot={self.rot.q.tolist()})"
-
-
-def pose_distance(a: Pose6, b: Pose6) -> tuple[float, float]:
-    """(translation distance in meters, rotation distance in radians)."""
-    return float(np.linalg.norm(a.pos - b.pos)), geodesic_angle(a.rot, b.rot)

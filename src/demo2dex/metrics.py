@@ -7,9 +7,10 @@ aligned with dynamic time warping under a 0/1 substitution cost.
 
 A pose series is scored as one (N, 7) array of rows (x, y, z, w, qx, qy, qz)
 with unit quaternions, every row or window at once. The per-pose definitions
-are `np.linalg.norm`, `geodesic_angle`, `unit_vector_angle`, `Rotation3`'s
-`compose`, `apply` and `as_rotvec`, and sums taken in sequence; the arrays
-reproduce them bit for bit under one arithmetic rule. Elementwise arithmetic
+are `np.linalg.norm`, `geodesic_angle`, `Rotation3`'s `compose` and `apply`,
+`unit_vector_angle` and `as_rotvec` (both defined in tests/test_metrics.py),
+and sums taken in sequence; the arrays reproduce them bit for bit under one
+arithmetic rule. Elementwise arithmetic
 runs on whole columns, in the definitions' term order. Every reduction is a
 BLAS dot per row (`geometry.row_dots`, `row_norms`), the call the per-pose
 code makes. Each column of errors is summed in sequence on Python floats.

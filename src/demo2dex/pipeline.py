@@ -17,12 +17,15 @@ A finished run is keyed by a content hash of the config, the bytes of the hand
 and recording files, the seed, `no_rl` and `VERSION`. A rerun with the same key
 is served from the run directory if its manifest also records the sha256 of
 this package's sources (`code_sha256`); after a code change the run recomputes.
+The check opens `manifest.json` first and `metrics.json` only behind a
+matching manifest; a missing file is a miss, found by opening it.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import functools
 import hashlib
+import json
 import logging
 import os
 import time
@@ -34,10 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import GraspEnv, build_episode, map_contacts, select_pregrasp
-from .demo import DemoSequence, extract_contacts, float_rows, load_demo
+from .demo import DemoSequence, extract_contacts, float_rows, load_demo, recorded_rows
 from .geometry import Pose6, row_norms
 from .hand import HandModel, load_hand
-from .jsonio import canonical_dumps, dump_json, load_json, sha256_file, sha256_of
+from .jsonio import canonical_dumps, dump_json, load_json, read_bytes, sha256_bytes, sha256_file, sha256_of
 from .metrics import (
     SUCCESS_RADIUS,
     MetricReport,
@@ -75,9 +78,9 @@ def asset_path(*parts) -> Path:
 def _locate(kind: str, spec) -> Path:
     """`spec` itself if it names a file, else the bundled asset `kind/<spec>.json`."""
     p = Path(spec)
-    if not p.exists():
+    if not os.path.exists(p):
         p = asset_path(kind, f"{spec}.json")
-    if not p.exists():
+    if not os.path.exists(p):
         raise PipelineError(f"'{spec}' is neither a file nor a bundled {kind[:-1]}")
     return p
 
@@ -152,16 +155,16 @@ def _pose_array(rows) -> np.ndarray:
     return poses
 
 
-def _score(traj: dict, demo: DemoSequence) -> MetricReport:
-    """Metrics of a trajectory record, the dict stored as trajectory.json."""
+def _score(traj: dict, fps: float, recorded: np.ndarray) -> MetricReport:
+    """Metrics of a trajectory record, the dict stored as trajectory.json,
+    against the recording's fps and (T, 7) object pose rows."""
     poses = _pose_array(traj["poses"])
     frequency = float(traj["frequency"])
     p, g = traj["prefix_len"], traj["grasp_len"]
-    recorded = np.array([_pose_row(po) for po in demo.object_poses])
-    ep, er = ep_er(poses, recorded[align_reference(demo.length, demo.fps, len(poses), frequency)])
+    ep, er = ep_er(poses, recorded[align_reference(len(recorded), fps, len(poses), frequency)])
     held = sr_grasp(poses[p : p + g, :3], np.asarray(traj["target_pos"], dtype=np.float64))
     follow = held and not traj["dropped"] and not traj["diverged"]
-    s_exec = encode_semantics(poses[resample_to_frames(len(poses), frequency, demo.fps, demo.length)])
+    s_exec = encode_semantics(poses[resample_to_frames(len(poses), frequency, fps, len(recorded))])
     s_demo = encode_semantics(recorded)
     score, sem_ok = tsr(s_exec, s_demo)
     return MetricReport(
@@ -248,23 +251,26 @@ def run_transfer(
     )
     name = cfg.get("name", "run")
     run_dir = Path(out_dir) / f"{name}-seed{seed}{'-norl' if no_rl else ''}"
-    manifest_path = run_dir / "manifest.json"
-    metrics_path = run_dir / "metrics.json"
     # manifest.json is written last, so a matching one marks a finished run of
     # this code; the key stored in metrics.json must match too, or the metrics
-    # are another run's
-    if not force and manifest_path.exists() and metrics_path.exists():
-        stored = load_json(metrics_path)
-        manifest = load_json(manifest_path)
-        if manifest.get("key") == key == stored.get("key") and manifest.get("code_sha256") == code_sha256():
-            log.info("%s: cached (key %s)", run_dir.name, key[:12])
-            return RunResult(
-                run_dir=run_dir,
-                key=key,
-                metrics=MetricReport.from_dict(stored["metrics"]),
-                grasp_success=bool(stored["grasp_success"]),
-                cached=True,
-            )
+    # are another run's. A missing file is a miss, found by opening it
+    try:
+        manifest = {} if force else load_json(os.path.join(run_dir, "manifest.json"))
+        same = manifest.get("key") == key and manifest.get("code_sha256") == code_sha256()
+        stored = load_json(os.path.join(run_dir, "metrics.json")) if same else {}
+    except FileNotFoundError:
+        stored = {}
+    if stored.get("key") == key:
+        log.info("%s: cached (key %s)", run_dir.name, key[:12])
+        return RunResult(
+            run_dir=run_dir,
+            key=key,
+            metrics=MetricReport.from_dict(stored["metrics"]),
+            grasp_success=bool(stored["grasp_success"]),
+            cached=True,
+        )
+    manifest_path = run_dir / "manifest.json"
+    metrics_path = run_dir / "metrics.json"
     model, _ = resolve_hand(hand_path)
     demo, _ = resolve_demo(demo_path)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -326,7 +332,7 @@ def run_transfer(
         "target_pos": episode.target_pose.pos.tolist(),
         "grasp_success": grasp_ok,
     }
-    report = _score(trajectory, demo)
+    report = _score(trajectory, demo.fps, demo.object_rows)
 
     # -- artifacts ---------------------------------------------------------------
     dump_json(plan.to_dict(), run_dir / "plan.json")
@@ -393,23 +399,24 @@ def run_transfer(
 def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
     """Recompute metrics from stored artifacts and verify them against metrics.json.
 
-    The recording is re-resolved and its content hash checked, so a tampered or
-    stale run directory fails loudly instead of quietly re-reporting.
+    The recording is read once and its hash checked before it is parsed, so a
+    tampered or stale run directory fails loudly instead of quietly
+    re-reporting; then only the fps and object rows that scoring reads are parsed.
     """
     run_dir = Path(run_dir)
     try:
         manifest = load_json(run_dir / "manifest.json")
     except FileNotFoundError:
         raise PipelineError("no finished run (manifest.json missing)") from None
-    demo_src = manifest["demo"]["source"]
-    demo, demo_path = resolve_demo(demo_src)
-    sha = sha256_file(demo_path)
-    if sha != manifest["demo"]["sha256"]:
+    demo_path = _locate("demos", manifest["demo"]["source"])
+    raw = read_bytes(demo_path)
+    if sha256_bytes(raw) != manifest["demo"]["sha256"]:
         raise PipelineError(
             f"recording at {demo_path} no longer matches the manifest hash"
         )
+    fps, _, recorded, _ = recorded_rows(json.loads(raw), hand=False)
     traj = load_json(run_dir / "trajectory.json")
-    report = _score(traj, demo)
+    report = _score(traj, fps, recorded)
     stored = load_json(run_dir / "metrics.json")
     verified = canonical_dumps(stored["metrics"]) == canonical_dumps(report.to_dict())
     return report, verified

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from demo2dex.geometry import Pose6, Rotation3, geodesic_angle
 from demo2dex.hand import hand_from_dict
 from demo2dex.pipeline import resolve_config, resolve_demo, resolve_hand, run_transfer
 from demo2dex.synthetic import asset_path
@@ -26,6 +27,27 @@ FLAT_PIECES = {
 }
 
 L1, L2 = 0.05, 0.04  # planar finger segment lengths
+
+
+def random_rotation(rng: np.random.Generator) -> Rotation3:
+    # Shoemake's uniform quaternion sampling.
+    u1, u2, u3 = rng.random(3)
+    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
+    return Rotation3(
+        np.array(
+            [
+                a * np.sin(2 * np.pi * u2),
+                a * np.cos(2 * np.pi * u2),
+                b * np.sin(2 * np.pi * u3),
+                b * np.cos(2 * np.pi * u3),
+            ]
+        )
+    )
+
+
+def pose_distance(a: Pose6, b: Pose6) -> tuple[float, float]:
+    """(translation distance in meters, rotation distance in radians)."""
+    return float(np.linalg.norm(a.pos - b.pos)), geodesic_angle(a.rot, b.rot)
 
 
 def planar_hand_dict() -> dict:

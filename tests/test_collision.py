@@ -1,6 +1,13 @@
 """GJK and signed-distance queries against optimization-based oracles, the
 face-plane test that lets detection skip a query, and the piece checks and
 hull that qhull builds on first read."""
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -9,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
+from demo2dex import collision
 from demo2dex.collision import (
     HULL_FIELDS,
     ConvexPiece,
@@ -20,7 +28,7 @@ from demo2dex.collision import (
 )
 from demo2dex.simworld import CULL_SLACK, DETECT_MARGIN
 
-from conftest import FLAT_PIECES
+from conftest import FLAT_PIECES, random_rotation
 
 RNG = np.random.default_rng(23)
 
@@ -104,7 +112,7 @@ def test_segment_cube_against_oracle():
         t = np.dot(pa - a, b - a) / max(np.dot(b - a, b - a), 1e-300)
         assert -1e-9 <= t <= 1 + 1e-9
         assert np.linalg.norm(a + np.clip(t, 0, 1) * (b - a) - pa) < 1e-7
-        assert piece.contains_margin(pb, 1e-7)
+        assert np.all(piece.face_n @ pb <= piece.face_b + 1e-7)
     assert hits < 120  # the sweep must exercise mostly separated pairs
 
 
@@ -157,7 +165,7 @@ def test_signed_distance_continuity_across_contact():
 
 
 def test_rotated_box_matches_frame_change():
-    from demo2dex.geometry import Pose6, random_rotation
+    from demo2dex.geometry import Pose6
 
     half = np.array([0.04, 0.02, 0.03])
     pose = Pose6(np.array([0.1, -0.05, 0.2]), random_rotation(RNG))
@@ -314,3 +322,39 @@ def test_one_hull_read_builds_every_field_once(first, monkeypatch):
     assert len(builds) == 1
     assert not hasattr(piece, "no_such_field")
     assert len(builds) == 1
+
+
+PIECE_COPIES = """
+import copy, pickle, sys
+
+from demo2dex.collision import ConvexPiece
+
+piece = ConvexPiece([[sx * 0.01, sy * 0.02, sz * 0.03] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+copies = [pickle.loads(pickle.dumps(piece)), copy.deepcopy(piece), copy.copy(piece)]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"copying an unbuilt piece loaded {loaded[:3]}"
+"""
+
+
+def test_copying_an_unbuilt_piece_builds_no_hull():
+    # a pickle or deep copy of a fresh piece carries no hull, so it loads no scipy
+    src = str(Path(collision.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", PIECE_COPIES], env={**os.environ, "PYTHONPATH": src}, check=True)
+
+
+def hull_bytes(piece: ConvexPiece) -> list[bytes]:
+    return [np.asarray(getattr(piece, f)).tobytes() for f in HULL_FIELDS]
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_a_copied_piece_has_the_original_hull_bit_for_bit(built):
+    piece = random_piece(5)
+    if built:
+        assert piece.volume > 0
+    copies = [pickle.loads(pickle.dumps(piece)), copy.deepcopy(piece)]
+    for other in copies:
+        assert other.vertices.tobytes() == piece.vertices.tobytes()
+        assert other.verts_t == piece.verts_t
+    want = hull_bytes(piece)
+    for other in copies:
+        assert hull_bytes(other) == want

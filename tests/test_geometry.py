@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRot
 
-from demo2dex.geometry import (
-    Pose6,
-    Rotation3,
-    cross3,
-    geodesic_angle,
-    pose_distance,
-    random_rotation,
-    unit_vector_angle,
-)
+from demo2dex.geometry import Pose6, Rotation3, cross3, geodesic_angle
+
+from conftest import pose_distance, random_rotation
 
 RNG = np.random.default_rng(20240811)
 
@@ -78,17 +72,6 @@ def test_against_scipy_rotations():
         assert np.allclose(r.apply(p), s.apply(p), atol=1e-12)
 
 
-def test_rotvec_round_trip():
-    for _ in range(200):
-        v = RNG.normal(size=3) * RNG.uniform(0, 3.0)
-        r = Rotation3.from_rotvec(v)
-        angle = np.linalg.norm(v)
-        if angle > np.pi:  # canonical representative comes back
-            continue
-        assert np.allclose(r.as_rotvec(), v, atol=1e-9)
-    assert np.allclose(Rotation3.from_rotvec([0, 0, 0]).as_rotvec(), 0.0)
-
-
 def test_apply_preserves_length_and_handedness():
     r = random_rotation(RNG)
     pts = RNG.normal(size=(40, 3))
@@ -135,14 +118,6 @@ def test_rotation_keeps_a_read_only_matrix(q):
     pts = RNG.normal(size=(7, 3))
     assert r.apply(pts).tobytes() == (pts @ fresh.T).tobytes()
     assert r.apply(pts[0]).tobytes() == (pts[0] @ fresh.T).tobytes()
-
-
-def test_unit_vector_angle():
-    assert abs(unit_vector_angle([1, 0, 0], [0, 1, 0]) - np.pi / 2) < 1e-12
-    assert unit_vector_angle([2, 0, 0], [5, 0, 0]) < 1e-12
-    assert abs(unit_vector_angle([1, 0, 0], [-3, 0, 0]) - np.pi) < 1e-12
-    with pytest.raises(ValueError):
-        unit_vector_angle([0, 0, 0], [1, 0, 0])
 
 
 def test_pose_compose_matches_homogeneous_matrices():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demo2dex.geometry import Pose6, Rotation3, geodesic_angle, random_rotation
+from demo2dex.geometry import Pose6, Rotation3, geodesic_angle
 from demo2dex.hand import HandModelError, hand_from_dict
 from demo2dex.pipeline import resolve_hand
 
-from conftest import BUNDLED_HANDS, planar_hand_dict, planar_tip
+from conftest import BUNDLED_HANDS, planar_hand_dict, planar_tip, random_rotation
 
 RNG = np.random.default_rng(11)
 

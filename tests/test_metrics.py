@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demo2dex import metrics
-from demo2dex.geometry import Pose6, Rotation3, geodesic_angle, unit_vector_angle
+from demo2dex.geometry import Pose6, Rotation3, cross3, geodesic_angle
 from demo2dex.metrics import (
     FALL,
     HOLD_STEPS,
@@ -253,6 +253,50 @@ def test_array_ep_er_matches_per_pose_on_random_single_rows():
         assert ep_er(executed, reference) == ep_er_per_pose(executed, reference)
 
 
+def unit_vector_angle(u, v) -> float:
+    """Angle in [0, pi] between two 3-vectors (geodesic distance on the
+    sphere): the definition of a window's tilt."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-12 or nv < 1e-12:
+        raise ValueError("cannot measure angle against a zero vector")
+    return float(np.arctan2(np.linalg.norm(cross3(u, v)), float(np.dot(u, v))))
+
+
+def as_rotvec(r: Rotation3) -> np.ndarray:
+    """Rotation vector of `r`, its angle in [0, pi]: the definition of a
+    window's rotation about z."""
+    w, x, y, z = r.q
+    if w < 0.0:  # keep angle in [0, pi]
+        w, x, y, z = -w, -x, -y, -z
+    sin_half = np.sqrt(x * x + y * y + z * z)
+    angle = 2.0 * np.arctan2(sin_half, w)
+    if sin_half < 1e-12:
+        return 2.0 * np.array([x, y, z])
+    return (angle / sin_half) * np.array([x, y, z])
+
+
+def test_unit_vector_angle():
+    assert abs(unit_vector_angle([1, 0, 0], [0, 1, 0]) - np.pi / 2) < 1e-12
+    assert unit_vector_angle([2, 0, 0], [5, 0, 0]) < 1e-12
+    assert abs(unit_vector_angle([1, 0, 0], [-3, 0, 0]) - np.pi) < 1e-12
+    with pytest.raises(ValueError):
+        unit_vector_angle([0, 0, 0], [1, 0, 0])
+
+
+def test_rotvec_round_trip():
+    rng = np.random.default_rng(20240811)
+    for _ in range(200):
+        v = rng.normal(size=3) * rng.uniform(0, 3.0)
+        r = Rotation3.from_rotvec(v)
+        angle = np.linalg.norm(v)
+        if angle > np.pi:  # canonical representative comes back
+            continue
+        assert np.allclose(as_rotvec(r), v, atol=1e-9)
+    assert np.allclose(as_rotvec(Rotation3.from_rotvec([0, 0, 0])), 0.0)
+
+
 def window_features_per_pose(start: Pose6, end: Pose6) -> list[float]:
     """The definition of a window's features, one window at a time."""
     dpos = end.pos - start.pos
@@ -263,7 +307,7 @@ def window_features_per_pose(start: Pose6, end: Pose6) -> list[float]:
         float(np.linalg.norm(dpos[:2])),
         float(np.linalg.norm(dpos)),
         float(np.degrees(unit_vector_angle(start.rot.apply(ez), end.rot.apply(ez)))),
-        abs(float(np.degrees(float(rel.as_rotvec()[2])))),
+        abs(float(np.degrees(float(as_rotvec(rel)[2])))),
     ]
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from demo2dex import pipeline
@@ -297,6 +298,46 @@ def test_cold_paths_load_no_scipy(toy3_config, toy3_run, tmp_path):
     subprocess.run([sys.executable, "-c", COLD_PATHS, arg], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a read path built a hand model or a DemoSequence")
+
+
+def test_evaluate_run_builds_no_recording(toy3_run, monkeypatch):
+    # scoring reads the fps and the object rows straight from the recording
+    monkeypatch.setattr(pipeline, "resolve_demo", refuse)
+    monkeypatch.setattr("demo2dex.demo.load_demo", refuse)
+    report, verified = evaluate_run(toy3_run.run_dir)
+    assert verified
+    assert report.to_dict() == toy3_run.metrics.to_dict()
+
+
+def test_cache_hit_loads_neither_input(toy3_config, toy3_run, monkeypatch):
+    # a hit hashes the hand and the recording and parses neither
+    monkeypatch.setattr(pipeline, "resolve_hand", refuse)
+    monkeypatch.setattr(pipeline, "resolve_demo", refuse)
+    assert run_transfer(toy3_config, toy3_run.run_dir.parent, no_rl=True).cached
+
+
+def test_changed_recording_fails_before_it_is_parsed(toy3_config, toy3_run, tmp_path):
+    run_dir = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, run_dir)
+    recording = tmp_path / "recording.json"
+    shutil.copy(toy3_config["demo"], recording)
+    manifest = load_json(run_dir / "manifest.json")
+    manifest["demo"]["source"] = str(recording)
+    dump_json(manifest, run_dir / "manifest.json")
+    assert evaluate_run(run_dir)[1]
+    recording.write_bytes(b"\x00 not JSON {")
+    with pytest.raises(pipeline.PipelineError, match="no longer matches the manifest hash"):
+        evaluate_run(run_dir)
+
+
+def test_object_rows_are_the_pose_rows_bit_for_bit(lift_demo):
+    want = np.array([pipeline._pose_row(p) for p in lift_demo.object_poses])
+    assert lift_demo.object_rows.shape == want.shape
+    assert lift_demo.object_rows.tobytes() == want.tobytes()
+
+
 def test_evaluate_run_needs_a_finished_run(tmp_path):
     with pytest.raises(pipeline.PipelineError, match=r"no finished run \(manifest.json missing\)"):
         evaluate_run(tmp_path)
@@ -320,11 +361,12 @@ def recorded_trajectory(demo, poses, dropped):
 def test_follow_requires_the_object_held(lift_demo):
     # the box follows the recording: held at the goal, and followed unless dropped
     traj = recorded_trajectory(lift_demo, lift_demo.object_poses, dropped=False)
-    report = pipeline._score(traj, lift_demo)
+    report = pipeline._score(traj, lift_demo.fps, lift_demo.object_rows)
     assert report.sr_grasp and report.sr_follow
     traj["dropped"] = True
-    assert not pipeline._score(traj, lift_demo).sr_follow
+    assert not pipeline._score(traj, lift_demo.fps, lift_demo.object_rows).sr_follow
     # the box never leaves the table: nothing was dropped, and nothing followed
     resting = [lift_demo.object_poses[0]] * lift_demo.length
-    report = pipeline._score(recorded_trajectory(lift_demo, resting, dropped=False), lift_demo)
+    traj = recorded_trajectory(lift_demo, resting, dropped=False)
+    report = pipeline._score(traj, lift_demo.fps, lift_demo.object_rows)
     assert not report.sr_grasp and not report.sr_follow

@@ -4,7 +4,7 @@ import pytest
 
 from demo2dex.collision import ConvexPiece
 from demo2dex.demo import DemoSequence, ObjectGeometry
-from demo2dex.geometry import Pose6, Rotation3, pose_distance
+from demo2dex.geometry import Pose6, Rotation3
 from demo2dex.hand import HandModelError, hand_from_dict
 from demo2dex.simworld import SimConfig, SimWorld
 from demo2dex.synthetic import toy_hand_dict
@@ -16,7 +16,7 @@ from demo2dex.wrist import (
     wrist_targets_for_pose,
 )
 
-from conftest import planar_hand_dict
+from conftest import planar_hand_dict, pose_distance
 
 FPS = 30.0
 
