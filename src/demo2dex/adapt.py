@@ -108,14 +108,12 @@ class ActionRescaler:
         out[6:] = lo + 0.5 * (a[6:] + 1.0) * (hi - lo)
         return np.clip(out, self.lo, self.hi)
 
-    def residual(self, base: np.ndarray, delta: np.ndarray, a_base: np.ndarray | None = None) -> np.ndarray:
+    def residual(self, base: np.ndarray, delta: np.ndarray, a_base: np.ndarray) -> np.ndarray:
         """Executed target for a residual action around the primary target.
 
         `a_base` is `encode(base, base)`, which a caller that steps through
-        fixed targets can encode once per target.
+        fixed targets encodes once per target.
         """
-        if a_base is None:
-            a_base = self.encode(base, base)
         delta = np.minimum(np.maximum(np.asarray(delta, dtype=np.float64), -DELTA_MAX), DELTA_MAX)
         a = np.minimum(np.maximum(a_base + delta, -1.0), 1.0)
         return self.decode(a, base)

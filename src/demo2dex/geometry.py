@@ -196,11 +196,6 @@ class Pose6:
     def identity() -> "Pose6":
         return Pose6(np.zeros(3), Rotation3.identity())
 
-    @staticmethod
-    def from_matrix(m) -> "Pose6":
-        m = np.asarray(m, dtype=np.float64)
-        return Pose6(m[:3, 3], Rotation3.from_matrix(m[:3, :3]))
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rot.as_matrix()

@@ -30,14 +30,13 @@ different order than BLAS and rounds differently.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import Pose6, Rotation3, cross3
+from .jsonio import load_json
 
 WORLD = "world"
 
@@ -139,7 +138,6 @@ class HandModel:
             raise HandModelError("palm_normal_sign must be 1 or -1")
         seen_children: set[str] = set()
         known_links = set(self.links)
-        parent_of: dict[str, str] = {}
         for j in self.joints:
             if j.jtype not in ("revolute", "prismatic"):
                 raise HandModelError(f"joint '{j.name}': unknown type '{j.jtype}'")
@@ -154,23 +152,17 @@ class HandModel:
             if not j.limits[0] < j.limits[1]:
                 raise HandModelError(f"joint '{j.name}': limits must satisfy lo < hi")
             seen_children.add(j.child)
-            parent_of[j.child] = j.parent
-        # every link must be reachable from the world through joints
-        for name in self.links:
-            cur, hops = name, 0
-            while cur != WORLD:
-                if cur not in parent_of:
-                    raise HandModelError(f"link '{cur}' is not connected to the tree root")
-                cur = parent_of[cur]
-                hops += 1
-                if hops > len(self.joints) + 1:
-                    raise HandModelError(f"cycle detected in joint tree at link '{name}'")
-        # joints must already be topologically ordered
+        # joints must already be topologically ordered, so each child hangs
+        # from the world through joints placed before it and no cycle passes;
+        # a link that no joint moves is then the one left unreached
         placed = {WORLD}
         for j in self.joints:
             if j.parent not in placed:
                 raise HandModelError(f"joint '{j.name}' appears before its parent link '{j.parent}'")
             placed.add(j.child)
+        for name in self.links:
+            if name not in placed:
+                raise HandModelError(f"link '{name}' is not connected to the tree root")
         for s in self.fingertip_sites + self.palm_sites:
             if s.link not in known_links:
                 raise HandModelError(f"site '{s.name}' references unknown link '{s.link}'")
@@ -457,5 +449,4 @@ def hand_from_dict(data: dict) -> HandModel:
 
 
 def load_hand(path) -> HandModel:
-    data = json.loads(Path(path).read_text())
-    return hand_from_dict(data)
+    return hand_from_dict(load_json(path))

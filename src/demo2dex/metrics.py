@@ -101,19 +101,15 @@ def ep_er(executed: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
     return _sum_in_order(pos) / n, float(np.degrees(_sum_in_order(rot) / n))
 
 
-def sr_grasp(
-    positions: np.ndarray,
-    target: np.ndarray,
-    radius: float = SUCCESS_RADIUS,
-    hold_steps: int = HOLD_STEPS,
-) -> bool:
-    """Object ends the grasp phase at the goal and stays there >= hold_steps."""
+def sr_grasp(positions: np.ndarray, target: np.ndarray) -> bool:
+    """Object ends the grasp phase within SUCCESS_RADIUS of the goal and stays
+    there for the last HOLD_STEPS positions or more."""
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[0] < hold_steps:
+    if positions.ndim != 2 or positions.shape[0] < HOLD_STEPS:
         return False
-    tail = positions[-hold_steps:]
+    tail = positions[-HOLD_STEPS:]
     err = np.linalg.norm(tail - np.asarray(target, dtype=np.float64), axis=1)
-    return bool(np.all(err <= radius))
+    return bool(np.all(err <= SUCCESS_RADIUS))
 
 
 # -- semantic encoding ------------------------------------------------------------
@@ -203,9 +199,9 @@ def dtw_normalized(seq_a: list[int], seq_b: list[int]) -> float:
     return cost / length
 
 
-def tsr(executed_labels: list[int], recorded_labels: list[int], threshold: float = TSR_THRESHOLD) -> tuple[float, bool]:
+def tsr(executed_labels: list[int], recorded_labels: list[int]) -> tuple[float, bool]:
     score = dtw_normalized(executed_labels, recorded_labels)
-    return score, score < threshold
+    return score, score < TSR_THRESHOLD
 
 
 # -- report -----------------------------------------------------------------------
@@ -223,26 +219,4 @@ class MetricReport:
     semantics_recorded: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ep": self.ep,
-            "er_deg": self.er_deg,
-            "sr_grasp": self.sr_grasp,
-            "sr_follow": self.sr_follow,
-            "tsr_score": self.tsr_score,
-            "tsr_success": self.tsr_success,
-            "semantics_executed": list(self.semantics_executed),
-            "semantics_recorded": list(self.semantics_recorded),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MetricReport":
-        return MetricReport(
-            ep=float(d["ep"]),
-            er_deg=float(d["er_deg"]),
-            sr_grasp=bool(d["sr_grasp"]),
-            sr_follow=bool(d["sr_follow"]),
-            tsr_score=float(d["tsr_score"]),
-            tsr_success=bool(d["tsr_success"]),
-            semantics_executed=[int(x) for x in d["semantics_executed"]],
-            semantics_recorded=[int(x) for x in d["semantics_recorded"]],
-        )
+        return dict(vars(self))

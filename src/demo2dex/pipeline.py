@@ -265,14 +265,14 @@ def run_transfer(
         return RunResult(
             run_dir=run_dir,
             key=key,
-            metrics=MetricReport.from_dict(stored["metrics"]),
+            metrics=MetricReport(**stored["metrics"]),
             grasp_success=bool(stored["grasp_success"]),
             cached=True,
         )
     manifest_path = run_dir / "manifest.json"
     metrics_path = run_dir / "metrics.json"
-    model, _ = resolve_hand(hand_path)
-    demo, _ = resolve_demo(demo_path)
+    model = load_hand(hand_path)
+    demo = load_demo(demo_path)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)  # unfinished until the new manifest lands
     plan, records, env, warnings = grasp_episode(model, demo, sim_cfg, run_dir.name)

@@ -42,6 +42,12 @@ class TrainConfig:
 
     total_steps: int = 200_000
 
+    def __post_init__(self):
+        # bool is an int subclass, and True would train a one-step budget
+        steps = self.total_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps <= 0:
+            raise ValueError(f"total_steps must be a positive integer, got {steps!r}")
+
 
 class RunningNorm:
     """Streaming mean/variance normalizer (parallel Welford merge)."""
@@ -260,7 +266,7 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
     updates = 0
     consecutive = 0
     stopped_early = False
-    best = None  # (score, success, policy, obs_norm) of the best evaluation
+    best = None  # (total reward, policy, obs_norm) of the best successful evaluation
 
     while env_steps < cfg.total_steps:
         # -- rollout --------------------------------------------------------
@@ -350,9 +356,8 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
             total, _, success, _ = run_episode(env, policy, obs_norm, rng=None)
             row["eval_reward"] = total
             row["eval_success"] = success
-            score = (1e9 if success else 0.0) + total
-            if best is None or score > best[0]:
-                best = (score, success, copy.deepcopy(policy), copy.deepcopy(obs_norm))
+            if success and (best is None or total > best[0]):
+                best = (total, copy.deepcopy(policy), copy.deepcopy(obs_norm))
             consecutive = consecutive + 1 if success else 0
             if consecutive >= EARLY_STOP:
                 log.append(row)
@@ -360,8 +365,8 @@ def train_residual_policy(env, cfg: TrainConfig, seed: int) -> TrainResult:
                 break
         log.append(row)
 
-    if best is not None and best[1]:
-        _, _, policy, obs_norm = best
+    if best is not None:
+        _, policy, obs_norm = best
     return TrainResult(
         policy=policy,
         obs_norm=obs_norm,

@@ -89,6 +89,7 @@ CONTACT_DAMPING = 50.0  # N s/m
 FRICTION_STIFFNESS = 2e3  # N/m
 FRICTION_DAMPING = 20.0  # N s/m
 DETECT_MARGIN = 2e-3  # m; contacts are tracked slightly before touchdown
+ENERGY_LIMIT = 1e3  # J; beyond this kinetic energy a step raises SimDivergenceError
 # relative slack of detection's float culls, far above their rounding error:
 # a cull drops only pairs that the exact query would also reject
 CULL_SLACK = 1.0 + 1e-6
@@ -96,12 +97,11 @@ CULL_SLACK = 1.0 + 1e-6
 
 @dataclass(frozen=True)
 class SimConfig:
-    """The `sim` config section: the contact and divergence parameters a task may tune."""
+    """The `sim` config section: the contact parameters a task may tune."""
 
     contact_stiffness: float = 5e3  # N/m
     friction_mu: float = 1.0
     force_cap: float = 50.0  # per-contact normal force bound
-    energy_limit: float = 1e3  # J; beyond this the step raises SimDivergenceError
 
     def __post_init__(self):
         # written as `not (x > 0)` so that NaN fails too
@@ -111,8 +111,6 @@ class SimConfig:
             raise ValueError("friction coefficient must be nonnegative")
         if not (self.force_cap > 0):  # a nonpositive cap makes the normal force attract
             raise ValueError("force cap must be positive")
-        if not (self.energy_limit > 0):  # a nonpositive limit fails every step
-            raise ValueError("energy limit must be positive")
 
 
 def default_gains(model: HandModel) -> tuple[np.ndarray, np.ndarray]:
@@ -231,17 +229,10 @@ def _body_inertia(geometry: ObjectGeometry) -> np.ndarray:
 
 
 class SimWorld:
-    def __init__(
-        self,
-        model: HandModel,
-        geometry: ObjectGeometry,
-        config: SimConfig | None = None,
-        q0: np.ndarray | None = None,
-        object_pose0: Pose6 | None = None,
-    ):
+    def __init__(self, model: HandModel, geometry: ObjectGeometry, config: SimConfig, q0, object_pose0: Pose6):
         self.model = model
         self.geometry = geometry
-        self.config = config or SimConfig()
+        self.config = config
         self.kp, self.kd = default_gains(model)  # `track_manipulation` swaps in carry gains
         self.inertia_body = _body_inertia(geometry)
         self.inertia_body_inv = np.linalg.inv(self.inertia_body)
@@ -261,10 +252,7 @@ class SimWorld:
         # per piece, each hull vertex minus the COM: a ground contact's `rel`
         self._ground_rel = [[row.copy() for row in p.vertices - geometry.com] for p in geometry.pieces]
         self._up = np.array([0.0, 0.0, 1.0])  # the ground normal
-        self.reset(
-            q0 if q0 is not None else model.mid_range(),
-            object_pose0 if object_pose0 is not None else Pose6.identity(),
-        )
+        self.reset(q0, object_pose0)
 
     # -- state management ---------------------------------------------------
 
@@ -535,7 +523,7 @@ class SimWorld:
         self.step_index += 1
         self.fkres = model.fk(self.q)  # before the energy check, so it holds after a raise
         energy = self.kinetic_energy()
-        if energy > cfg.energy_limit:
+        if energy > ENERGY_LIMIT:
             raise SimDivergenceError(self.step_index, energy)
         self._detect()
         records = tuple(

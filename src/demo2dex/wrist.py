@@ -113,13 +113,11 @@ def plan_wrist(
     )
 
 
-def track_manipulation(
-    world: SimWorld, plan: ManipulationPlan, drop_steps: int = DROP_STEPS
-) -> TrackResult:
+def track_manipulation(world: SimWorld, plan: ManipulationPlan) -> TrackResult:
     """Execute the manipulation plan, watching for the object slipping away.
 
     The wrist uses doubled PD gains for the carry. A drop is declared once
-    every hand contact has been absent for more than `drop_steps` consecutive
+    every hand contact has been absent for more than DROP_STEPS consecutive
     control steps; tracking still runs to the end so the executed trajectory
     stays comparable against the recording.
     """
@@ -146,7 +144,7 @@ def track_manipulation(
             free_streak = 0
         else:
             free_streak += 1
-            if free_streak > drop_steps and not dropped:
+            if free_streak > DROP_STEPS and not dropped:
                 dropped = True
                 drop_step = plan.start_step + k
     return TrackResult(records=records, dropped=dropped, drop_step=drop_step, diverged=diverged)

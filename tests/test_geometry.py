@@ -130,12 +130,9 @@ def test_pose_compose_matches_homogeneous_matrices():
         assert geodesic_angle(ident.rot, Rotation3.identity()) < 1e-9
 
 
-def test_pose_apply_and_from_matrix():
+def test_pose_apply():
     p = Pose6(np.array([1.0, -2.0, 0.5]), Rotation3.from_axis_angle([0, 0, 1], np.pi / 2))
     assert np.allclose(p.apply([1.0, 0.0, 0.0]), [1.0, -1.0, 0.5], atol=1e-12)
-    q = Pose6.from_matrix(p.as_matrix())
-    dp, dr = pose_distance(p, q)
-    assert dp < 1e-12 and dr < 1e-12
 
 
 def test_pose_distance_components():

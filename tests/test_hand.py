@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from demo2dex.geometry import Pose6, Rotation3, geodesic_angle
 from demo2dex.hand import HandModelError, hand_from_dict
-from demo2dex.pipeline import resolve_hand
+from demo2dex.pipeline import asset_path, resolve_hand
 
 from conftest import BUNDLED_HANDS, planar_hand_dict, planar_tip, random_rotation
 
@@ -286,6 +286,11 @@ def test_fingertip_order_is_stable(toy_hand):
     assert tips.shape == (len(toy_hand.fingertip_sites), 3)
 
 
+def test_bundled_hands_are_every_hand_asset():
+    # so the load check below, and the tree check inside it, sees every hand
+    assert sorted(BUNDLED_HANDS) == sorted(p.stem for p in asset_path("hands").glob("*.json"))
+
+
 @pytest.mark.parametrize("hand_name", BUNDLED_HANDS)
 def test_bundled_hands_load_and_validate(hand_name):
     model, path = resolve_hand(hand_name)
@@ -305,10 +310,16 @@ def test_malformed_hand_rejected():
     with pytest.raises(HandModelError):
         hand_from_dict(bad)
 
+    # prox -> dist -> prox: the first joint of the loop comes before its parent
     cycle = planar_hand_dict()
     cycle["joints"][6]["parent"] = "dist"
-    with pytest.raises(HandModelError):
+    with pytest.raises(HandModelError, match="'f_mcp' appears before its parent link 'dist'"):
         hand_from_dict(cycle)
+
+    loose = planar_hand_dict()
+    loose["links"].append({"name": "spare"})  # a link that no joint moves
+    with pytest.raises(HandModelError, match="'spare' is not connected to the tree root"):
+        hand_from_dict(loose)
 
     dup = planar_hand_dict()
     dup["links"].append({"name": "palm"})

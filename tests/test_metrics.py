@@ -100,13 +100,15 @@ class TestDTW:
 
 
 class TestTSR:
-    def test_strictly_below_threshold(self):
+    def test_strictly_below_threshold(self, monkeypatch):
         a = [0] * 7 + [9, 9, 9]
         b = [0] * 7 + [1, 1, 1]
-        score, ok = tsr(a, b, threshold=0.3)
+        monkeypatch.setattr(metrics, "TSR_THRESHOLD", 0.3)
+        score, ok = tsr(a, b)
         assert score == pytest.approx(0.3, abs=1e-15)
         assert ok is False  # boundary is exclusive
-        _, ok_loose = tsr(a, b, threshold=0.31)
+        monkeypatch.setattr(metrics, "TSR_THRESHOLD", 0.31)
+        _, ok_loose = tsr(a, b)
         assert ok_loose is True
 
 
@@ -390,5 +392,5 @@ def test_metric_report_round_trip():
         tsr_score=0.25, tsr_success=True,
         semantics_executed=[1, 3], semantics_recorded=[1, 4, 3],
     )
-    clone = MetricReport.from_dict(rep.to_dict())
+    clone = MetricReport(**rep.to_dict())
     assert clone == rep

@@ -138,6 +138,7 @@ def test_negative_seed_fails_before_retargeting(toy3_config, tmp_path, monkeypat
     ("sim", "substeps", 4),
     ("sim", "kp", [150.0] * 9),
     ("rl", "hidden", [64, 64]),
+    ("sim", "energy_limit", 1e3),
     (None, "seed", 0),
 ])
 def test_removed_config_key_raises(toy3_config, tmp_path, monkeypatch, section, key, value):
@@ -147,6 +148,17 @@ def test_removed_config_key_raises(toy3_config, tmp_path, monkeypatch, section, 
     config = copy.deepcopy(toy3_config)
     (config if section is None else config[section])[key] = value
     with pytest.raises(TypeError, match=key):
+        run_transfer(config, tmp_path, no_rl=True)
+
+
+@pytest.mark.parametrize("total_steps", ["600", 0, -5, 2.5, None, True])
+def test_bad_training_budget_fails_before_retargeting(toy3_config, tmp_path, monkeypatch, total_steps):
+    # a budget that is not a positive int would fail inside training, or
+    # train nothing, after retargeting and replay
+    monkeypatch.setattr(pipeline, "retarget_sequence", no_retarget)
+    config = copy.deepcopy(toy3_config)
+    config["rl"]["total_steps"] = total_steps
+    with pytest.raises(ValueError, match="total_steps"):
         run_transfer(config, tmp_path, no_rl=True)
 
 
@@ -305,6 +317,7 @@ def refuse(*args, **kwargs):
 def test_evaluate_run_builds_no_recording(toy3_run, monkeypatch):
     # scoring reads the fps and the object rows straight from the recording
     monkeypatch.setattr(pipeline, "resolve_demo", refuse)
+    monkeypatch.setattr(pipeline, "load_demo", refuse)
     monkeypatch.setattr("demo2dex.demo.load_demo", refuse)
     report, verified = evaluate_run(toy3_run.run_dir)
     assert verified
@@ -313,8 +326,8 @@ def test_evaluate_run_builds_no_recording(toy3_run, monkeypatch):
 
 def test_cache_hit_loads_neither_input(toy3_config, toy3_run, monkeypatch):
     # a hit hashes the hand and the recording and parses neither
-    monkeypatch.setattr(pipeline, "resolve_hand", refuse)
-    monkeypatch.setattr(pipeline, "resolve_demo", refuse)
+    for name in ("resolve_hand", "resolve_demo", "load_hand", "load_demo"):
+        monkeypatch.setattr(pipeline, name, refuse)
     assert run_transfer(toy3_config, toy3_run.run_dir.parent, no_rl=True).cached
 
 

@@ -274,3 +274,15 @@ def test_training_is_reproducible_per_seed():
         "type": "header", "gamma": 0.995, "clip": 0.3, "batch_size": 64, "gae_lambda": 0.95,
         "lr": 3e-4, "hidden": [64, 64], "entropy_coef": 0.003, "action_std": 0.2, "seed": 0,
     }
+
+
+def test_training_returns_the_best_successful_evaluation():
+    # every episode succeeds, so training stops after three successful
+    # evaluations and returns the copy taken at the best of them; on seed 0
+    # that is the first, not the policy training ended with
+    res = train_residual_policy(_CountdownEnv(), TrainConfig(total_steps=10_000), 0)
+    evals = [row["eval_reward"] for row in res.log[1:] if "eval_reward" in row]
+    assert res.stopped_early and len(evals) == 3
+    assert max(evals) == evals[0] > evals[-1]
+    total, _, success, _ = run_episode(_CountdownEnv(), res.policy, res.obs_norm)
+    assert success and total == evals[0]

@@ -212,7 +212,7 @@ def test_hand_contact_detected_when_pressed():
     q0 = model.mid_range()
     q0[:3] = [0.0, 0.0, 0.16]  # finger hangs straight down over the box top
     q0[3:] = 0.0
-    world = SimWorld(model, geo, q0=q0, object_pose0=pose)
+    world = SimWorld(model, geo, SimConfig(), q0, pose)
     press = q0.copy()
     press[2] = 0.12  # drive the fingertip into the surface
     saw_contact = False
@@ -615,7 +615,6 @@ def test_broad_phase_never_drops_a_pair(hand_name, lift_demo, monkeypatch):
     ("contact_stiffness", 0.0), ("contact_stiffness", math.nan),
     ("friction_mu", -0.1), ("friction_mu", math.nan),
     ("force_cap", 0.0), ("force_cap", -4.0), ("force_cap", math.nan),
-    ("energy_limit", 0.0), ("energy_limit", -1.0), ("energy_limit", math.nan),
 ])
 def test_sim_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field.split("_")[0]):

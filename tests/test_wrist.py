@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from demo2dex import simworld, wrist
 from demo2dex.collision import ConvexPiece
 from demo2dex.demo import DemoSequence, ObjectGeometry
 from demo2dex.geometry import Pose6, Rotation3
@@ -173,7 +174,7 @@ class TestWristTargetsForPose:
         assert q[5] == pytest.approx(-2.9, abs=1e-9)
 
 
-def falling_box_world(config=None):
+def falling_box_world():
     model = hand_from_dict(planar_hand_dict())
     q0 = model.mid_range()
     q0[:3] = [1.4, 1.4, 1.4]
@@ -183,10 +184,7 @@ def falling_box_world(config=None):
         com=np.zeros(3),
         mass=0.1,
     )
-    world = SimWorld(
-        model, geometry, config=config or SimConfig(), q0=q0,
-        object_pose0=Pose6(np.array([0.0, 0.0, 0.5]), Rotation3.identity()),
-    )
+    world = SimWorld(model, geometry, SimConfig(), q0, Pose6(np.array([0.0, 0.0, 0.5]), Rotation3.identity()))
     return model, world
 
 
@@ -201,19 +199,21 @@ def hold_plan(model, n, start=7):
 
 
 class TestTrackManipulation:
-    def test_drop_detected_after_streak(self):
+    def test_drop_detected_after_streak(self, monkeypatch):
+        monkeypatch.setattr(wrist, "DROP_STEPS", 5)
         model, world = falling_box_world()
         plan = hold_plan(model, 12, start=7)
-        out = track_manipulation(world, plan, drop_steps=5)
+        out = track_manipulation(world, plan)
         assert out.dropped and not out.diverged
         assert out.drop_step == 7 + 5
         assert len(out.records) == 12  # tracking runs to the end regardless
 
-    def test_contact_resets_streak(self):
+    def test_contact_resets_streak(self, monkeypatch):
         # box resting on the ground is still contact-free for the hand
+        monkeypatch.setattr(wrist, "DROP_STEPS", 10)
         model, world = falling_box_world()
         plan = hold_plan(model, 4)
-        out = track_manipulation(world, plan, drop_steps=10)
+        out = track_manipulation(world, plan)
         assert not out.dropped
         assert out.drop_step is None
 
@@ -221,7 +221,7 @@ class TestTrackManipulation:
         model, world = falling_box_world()
         kp0, kd0 = world.kp.copy(), world.kd.copy()
         clone = world.clone()
-        track_manipulation(world, hold_plan(model, 2), drop_steps=5)
+        track_manipulation(world, hold_plan(model, 2))
         np.testing.assert_allclose(world.kp[:6], 2.0 * kp0[:6])
         np.testing.assert_allclose(world.kd[:6], 2.0 * kd0[:6])
         np.testing.assert_allclose(world.kp[6:], kp0[6:])
@@ -230,11 +230,12 @@ class TestTrackManipulation:
         np.testing.assert_array_equal(clone.kp, kp0)
         np.testing.assert_array_equal(clone.kd, kd0)
 
-    def test_divergence_truncates_and_flags(self):
-        cfg = SimConfig(energy_limit=1e-6)
-        model, world = falling_box_world(config=cfg)
+    def test_divergence_truncates_and_flags(self, monkeypatch):
+        monkeypatch.setattr(simworld, "ENERGY_LIMIT", 1e-6)
+        monkeypatch.setattr(wrist, "DROP_STEPS", 5)
+        model, world = falling_box_world()
         plan = hold_plan(model, 10, start=3)
-        out = track_manipulation(world, plan, drop_steps=5)
+        out = track_manipulation(world, plan)
         assert out.diverged and out.dropped
         assert out.drop_step == 3
         assert len(out.records) < 10
