@@ -8,11 +8,18 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
-from .jsonio import dump_json, load_json
-from .pipeline import PipelineError, aggregate, evaluate_run, repeated_seed, resolve_config, run_sweep
+from .jsonio import dump_json
+from .pipeline import (
+    PipelineError,
+    aggregate,
+    evaluate_run,
+    load_run_file,
+    repeated_seed,
+    resolve_config,
+    run_sweep,
+)
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -100,9 +107,9 @@ def cmd_report(args) -> int:
     rows = []
     for d in args.run_dirs:
         try:
-            stored = load_json(os.path.join(d, "metrics.json"))
-        except FileNotFoundError:
-            print(f"{d}: no finished run (metrics.json missing)", file=sys.stderr)
+            stored = load_run_file(d, "metrics.json")
+        except PipelineError as exc:
+            print(f"{d}: {exc}", file=sys.stderr)
             return 1
         row = dict(stored["metrics"])
         row["grasp_success"] = stored["grasp_success"]

@@ -19,6 +19,11 @@ is served from the run directory if its manifest also records the sha256 of
 this package's sources (`code_sha256`); after a code change the run recomputes.
 The check opens `manifest.json` first and `metrics.json` only behind a
 matching manifest; a missing file is a miss, found by opening it.
+
+`evaluate_run` checks the recording's sha256 against the manifest on every
+call. A process keeps the last recording it scored, its fps, object rows and
+labels, under that sha256, so evaluating many runs of one recording parses and
+labels it once; a process that evaluates one run gains nothing.
 """
 from __future__ import annotations
 
@@ -155,9 +160,10 @@ def _pose_array(rows) -> np.ndarray:
     return poses
 
 
-def _score(traj: dict, fps: float, recorded: np.ndarray) -> MetricReport:
+def _score(traj: dict, fps: float, recorded: np.ndarray, labels: tuple[int, ...] | list[int]) -> MetricReport:
     """Metrics of a trajectory record, the dict stored as trajectory.json,
-    against the recording's fps and (T, 7) object pose rows."""
+    against the recording's fps, (T, 7) object pose rows and their
+    `encode_semantics` labels."""
     poses = _pose_array(traj["poses"])
     frequency = float(traj["frequency"])
     p, g = traj["prefix_len"], traj["grasp_len"]
@@ -165,8 +171,7 @@ def _score(traj: dict, fps: float, recorded: np.ndarray) -> MetricReport:
     held = sr_grasp(poses[p : p + g, :3], np.asarray(traj["target_pos"], dtype=np.float64))
     follow = held and not traj["dropped"] and not traj["diverged"]
     s_exec = encode_semantics(poses[resample_to_frames(len(poses), frequency, fps, len(recorded))])
-    s_demo = encode_semantics(recorded)
-    score, sem_ok = tsr(s_exec, s_demo)
+    score, sem_ok = tsr(s_exec, labels)
     return MetricReport(
         ep=ep,
         er_deg=er,
@@ -175,7 +180,7 @@ def _score(traj: dict, fps: float, recorded: np.ndarray) -> MetricReport:
         tsr_score=score,
         tsr_success=sem_ok,
         semantics_executed=s_exec,
-        semantics_recorded=s_demo,
+        semantics_recorded=list(labels),
     )
 
 
@@ -332,7 +337,7 @@ def run_transfer(
         "target_pos": episode.target_pose.pos.tolist(),
         "grasp_success": grasp_ok,
     }
-    report = _score(trajectory, demo.fps, demo.object_rows)
+    report = _score(trajectory, demo.fps, demo.object_rows, encode_semantics(demo.object_rows))
 
     # -- artifacts ---------------------------------------------------------------
     dump_json(plan.to_dict(), run_dir / "plan.json")
@@ -396,28 +401,56 @@ def run_transfer(
     )
 
 
+def load_run_file(run_dir, name: str):
+    """The JSON of a run file; a missing or non-JSON file raises PipelineError naming it."""
+    try:
+        return load_json(os.path.join(run_dir, name))
+    except FileNotFoundError:
+        raise PipelineError(f"no finished run ({name} missing)") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF
+        raise PipelineError(f"{name} is not JSON ({exc})") from None
+
+
+# the last recording `evaluate_run` scored: (sha256, fps, read-only (T, 7)
+# object rows, labels), or None before the first
+_last_recording: tuple[str, float, np.ndarray, tuple[int, ...]] | None = None
+
+
+def _recording(digest: str, raw: bytes) -> tuple[float, np.ndarray, tuple[int, ...]]:
+    """fps, object rows and labels of the recording `raw`, whose sha256 is
+    `digest`; parsed and labelled unless it is the last recording scored."""
+    global _last_recording
+    memo = _last_recording  # read once: another thread may replace it
+    if memo is None or memo[0] != digest:
+        fps, _, recorded, _ = recorded_rows(json.loads(raw), hand=False)
+        recorded.flags.writeable = False
+        memo = _last_recording = (digest, fps, recorded, tuple(encode_semantics(recorded)))
+    return memo[1:]
+
+
 def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
     """Recompute metrics from stored artifacts and verify them against metrics.json.
 
-    The recording is read once and its hash checked before it is parsed, so a
-    tampered or stale run directory fails loudly instead of quietly
-    re-reporting; then only the fps and object rows that scoring reads are parsed.
+    The recording is read once and its hash checked on every call before it
+    is parsed, so a tampered or stale run directory fails loudly instead of
+    quietly re-reporting. Then only the fps and object rows that scoring reads
+    are parsed and labelled, unless the last recording this process scored
+    had the same sha256: evaluating many runs of one recording parses it once,
+    and a process that evaluates one run gains nothing. A run file that is
+    missing or not JSON raises PipelineError naming it.
     """
-    run_dir = Path(run_dir)
-    try:
-        manifest = load_json(run_dir / "manifest.json")
-    except FileNotFoundError:
-        raise PipelineError("no finished run (manifest.json missing)") from None
+    manifest = load_run_file(run_dir, "manifest.json")
     demo_path = _locate("demos", manifest["demo"]["source"])
     raw = read_bytes(demo_path)
-    if sha256_bytes(raw) != manifest["demo"]["sha256"]:
+    digest = sha256_bytes(raw)
+    if digest != manifest["demo"]["sha256"]:
         raise PipelineError(
             f"recording at {demo_path} no longer matches the manifest hash"
         )
-    fps, _, recorded, _ = recorded_rows(json.loads(raw), hand=False)
-    traj = load_json(run_dir / "trajectory.json")
-    report = _score(traj, fps, recorded)
-    stored = load_json(run_dir / "metrics.json")
+    fps, recorded, labels = _recording(digest, raw)
+    traj = load_run_file(run_dir, "trajectory.json")
+    report = _score(traj, fps, recorded, labels)
+    stored = load_run_file(run_dir, "metrics.json")
     verified = canonical_dumps(stored["metrics"]) == canonical_dumps(report.to_dict())
     return report, verified
 

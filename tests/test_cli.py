@@ -85,3 +85,31 @@ def test_eval_and_report_name_an_unfinished_run(toy3_run, tmp_path, capsys):
     (unfinished / "metrics.json").unlink()
     assert main(["report", str(toy3_run.run_dir), str(unfinished)]) == 1
     assert capsys.readouterr().err == f"{unfinished}: no finished run (metrics.json missing)\n"
+
+
+@pytest.mark.parametrize("name, content, problem", [
+    ("manifest.json", b"{", "manifest.json is not JSON ("),
+    ("trajectory.json", None, "no finished run (trajectory.json missing)"),
+    ("trajectory.json", b"[1, 2", "trajectory.json is not JSON ("),
+    ("metrics.json", None, "no finished run (metrics.json missing)"),
+    ("metrics.json", b"\xff\xfe{", "metrics.json is not JSON ("),
+])
+def test_eval_names_a_broken_run_file_and_goes_on(toy3_run, tmp_path, capsys, name, content, problem):
+    broken = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, broken)
+    if content is None:
+        (broken / name).unlink()
+    else:
+        (broken / name).write_bytes(content)
+    assert main(["eval", str(broken), str(toy3_run.run_dir)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{broken}: {problem}")
+    assert lines[1].startswith(f"{toy3_run.run_dir}: verified")
+
+
+def test_report_names_metrics_that_are_not_json(toy3_run, tmp_path, capsys):
+    broken = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, broken)
+    (broken / "metrics.json").write_text("not JSON")
+    assert main(["report", str(toy3_run.run_dir), str(broken)]) == 1
+    assert capsys.readouterr().err.startswith(f"{broken}: metrics.json is not JSON (")

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from demo2dex import pipeline
+from demo2dex.demo import recorded_rows
 from demo2dex.hand import HandModelError
 from demo2dex.jsonio import dump_json, load_json
+from demo2dex.metrics import encode_semantics
 from demo2dex.pipeline import evaluate_run, run_sweep, run_transfer
 
 # metrics of the toy3 --no-rl run, recorded from the implementation this
@@ -345,6 +347,68 @@ def test_changed_recording_fails_before_it_is_parsed(toy3_config, toy3_run, tmp_
         evaluate_run(run_dir)
 
 
+def reparsed(*args, **kwargs):
+    raise AssertionError("the recording was parsed again")
+
+
+def test_second_evaluation_parses_the_recording_once(toy3_config, toy3_run, monkeypatch):
+    # the memo holds the last recording's rows and labels under its sha256;
+    # the hash is still checked, and only the executed labels are computed
+    evaluate_run(toy3_run.run_dir)
+    raw = Path(toy3_config["demo"]).read_bytes()
+    loads, labelled, hashed = json.loads, [], []
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: reparsed() if s == raw else loads(s, *a, **k))
+    monkeypatch.setattr(pipeline, "recorded_rows", reparsed)
+    label = pipeline.encode_semantics
+    monkeypatch.setattr(pipeline, "encode_semantics", lambda poses: labelled.append(len(poses)) or label(poses))
+    digest = pipeline.sha256_bytes
+    monkeypatch.setattr(pipeline, "sha256_bytes", lambda data: hashed.append(len(data)) or digest(data))
+    report, verified = evaluate_run(toy3_run.run_dir)
+    assert verified
+    assert report.to_dict() == toy3_run.metrics.to_dict()
+    assert hashed == [len(raw)]
+    assert len(labelled) == 1  # the executed poses only
+
+
+def test_a_changed_recording_is_scored_against_its_own_rows(toy3_config, toy3_run, tmp_path):
+    # a run of another recording, one object row moved 1 cm, is scored
+    # against that recording, not the one the memo held before it
+    first, verified = evaluate_run(toy3_run.run_dir)
+    assert verified
+    run_dir = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, run_dir)
+    recording = load_json(toy3_config["demo"])
+    recording["frames"][0]["object"]["pos"][2] += 0.01
+    moved = tmp_path / "moved.json"
+    dump_json(recording, moved)
+    manifest = load_json(run_dir / "manifest.json")
+    manifest["demo"].update(source=str(moved), sha256=pipeline.sha256_file(moved))
+    dump_json(manifest, run_dir / "manifest.json")
+
+    report, verified = evaluate_run(run_dir)
+    fps, _, rows, _ = recorded_rows(recording, hand=False)
+    want = pipeline._score(load_json(run_dir / "trajectory.json"), fps, rows, encode_semantics(rows))
+    assert report.to_dict() == want.to_dict()
+    assert report.ep != first.ep and not verified
+    again, verified = evaluate_run(toy3_run.run_dir)
+    assert verified and again.to_dict() == first.to_dict()
+
+
+def test_reports_share_no_recorded_labels(toy3_run):
+    report, _ = evaluate_run(toy3_run.run_dir)
+    report.semantics_recorded.append(99)
+    again, verified = evaluate_run(toy3_run.run_dir)
+    assert verified
+    assert again.semantics_recorded == GOLDEN["semantics_recorded"]
+
+
+def test_memo_rows_are_read_only(toy3_run):
+    evaluate_run(toy3_run.run_dir)
+    rows = pipeline._last_recording[2]
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+
+
 def test_object_rows_are_the_pose_rows_bit_for_bit(lift_demo):
     want = np.array([pipeline._pose_row(p) for p in lift_demo.object_poses])
     assert lift_demo.object_rows.shape == want.shape
@@ -371,15 +435,19 @@ def recorded_trajectory(demo, poses, dropped):
     }
 
 
+def score(traj, demo):
+    return pipeline._score(traj, demo.fps, demo.object_rows, encode_semantics(demo.object_rows))
+
+
 def test_follow_requires_the_object_held(lift_demo):
     # the box follows the recording: held at the goal, and followed unless dropped
     traj = recorded_trajectory(lift_demo, lift_demo.object_poses, dropped=False)
-    report = pipeline._score(traj, lift_demo.fps, lift_demo.object_rows)
+    report = score(traj, lift_demo)
     assert report.sr_grasp and report.sr_follow
     traj["dropped"] = True
-    assert not pipeline._score(traj, lift_demo.fps, lift_demo.object_rows).sr_follow
+    assert not score(traj, lift_demo).sr_follow
     # the box never leaves the table: nothing was dropped, and nothing followed
     resting = [lift_demo.object_poses[0]] * lift_demo.length
     traj = recorded_trajectory(lift_demo, resting, dropped=False)
-    report = pipeline._score(traj, lift_demo.fps, lift_demo.object_rows)
+    report = score(traj, lift_demo)
     assert not report.sr_grasp and not report.sr_follow
