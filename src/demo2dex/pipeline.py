@@ -18,7 +18,8 @@ and recording files, the seed, `no_rl` and `VERSION`. A rerun with the same key
 is served from the run directory if its manifest also records the sha256 of
 this package's sources (`code_sha256`); after a code change the run recomputes.
 The check opens `manifest.json` first and `metrics.json` only behind a
-matching manifest; a missing file is a miss, found by opening it.
+matching manifest; a file that is missing, not JSON or not a JSON object is a
+miss, found by opening it.
 
 `evaluate_run` checks the recording's sha256 against the manifest on every
 call. A process keeps the last recording it scored, its fps, object rows and
@@ -32,6 +33,7 @@ import functools
 import hashlib
 import json
 import logging
+import operator
 import os
 import time
 from collections import Counter
@@ -149,6 +151,8 @@ def _pose_array(rows) -> np.ndarray:
     """Trajectory pose rows as one (N, 7) array, each quaternion normalised as
     `Rotation3` normalises it."""
     poses, parsed = float_rows(rows, 7)
+    if not len(poses):
+        raise PipelineError("trajectory has no pose rows")
     norms = row_norms(poses[:, 3:])
     not_numbers = ~(parsed & np.isfinite(poses).all(axis=1))
     bad = not_numbers | (norms < 1e-8)
@@ -160,16 +164,44 @@ def _pose_array(rows) -> np.ndarray:
     return poses
 
 
+def _field(doc, name: str, path: str, convert=None):
+    """The field at the dotted `path` of `doc`, the JSON of run file `name`,
+    passed through `convert`. A field that is missing, or that `convert`
+    rejects, raises PipelineError naming the file and the field."""
+    value = doc
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise PipelineError(f"{name} has no field '{path}'")
+        value = value[key]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise PipelineError(f"{name} field '{path}' is malformed ({exc})") from None
+
+
+def _positive(value) -> float:
+    """`value` as a positive finite float; ValueError otherwise."""
+    x = float(value)
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{value!r} is not a positive number")
+    return x
+
+
 def _score(traj: dict, fps: float, recorded: np.ndarray, labels: tuple[int, ...] | list[int]) -> MetricReport:
     """Metrics of a trajectory record, the dict stored as trajectory.json,
     against the recording's fps, (T, 7) object pose rows and their
     `encode_semantics` labels."""
-    poses = _pose_array(traj["poses"])
-    frequency = float(traj["frequency"])
-    p, g = traj["prefix_len"], traj["grasp_len"]
+    name = "trajectory.json"
+    poses = _field(traj, name, "poses", _pose_array)
+    frequency = _field(traj, name, "frequency", _positive)
+    p = _field(traj, name, "prefix_len", operator.index)
+    g = _field(traj, name, "grasp_len", operator.index)
+    target = _field(traj, name, "target_pos", lambda v: np.asarray(v, dtype=np.float64).reshape(3))
     ep, er = ep_er(poses, recorded[align_reference(len(recorded), fps, len(poses), frequency)])
-    held = sr_grasp(poses[p : p + g, :3], np.asarray(traj["target_pos"], dtype=np.float64))
-    follow = held and not traj["dropped"] and not traj["diverged"]
+    held = sr_grasp(poses[p : p + g, :3], target)
+    follow = held and not _field(traj, name, "dropped") and not _field(traj, name, "diverged")
     s_exec = encode_semantics(poses[resample_to_frames(len(poses), frequency, fps, len(recorded))])
     score, sem_ok = tsr(s_exec, labels)
     return MetricReport(
@@ -223,6 +255,16 @@ def grasp_episode(
     return plan, records, env, warnings
 
 
+def _cached_object(path) -> dict:
+    """The JSON object in `path`, or {} (a cache miss) when the file is
+    missing, not JSON or not a JSON object."""
+    try:
+        doc = load_json(path)
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF
+        return {}
+    return doc if isinstance(doc, dict) else {}
+
+
 def run_transfer(
     config: dict,
     out_dir,
@@ -258,13 +300,10 @@ def run_transfer(
     run_dir = Path(out_dir) / f"{name}-seed{seed}{'-norl' if no_rl else ''}"
     # manifest.json is written last, so a matching one marks a finished run of
     # this code; the key stored in metrics.json must match too, or the metrics
-    # are another run's. A missing file is a miss, found by opening it
-    try:
-        manifest = {} if force else load_json(os.path.join(run_dir, "manifest.json"))
-        same = manifest.get("key") == key and manifest.get("code_sha256") == code_sha256()
-        stored = load_json(os.path.join(run_dir, "metrics.json")) if same else {}
-    except FileNotFoundError:
-        stored = {}
+    # are another run's
+    manifest = {} if force else _cached_object(os.path.join(run_dir, "manifest.json"))
+    same = manifest.get("key") == key and manifest.get("code_sha256") == code_sha256()
+    stored = _cached_object(os.path.join(run_dir, "metrics.json")) if same else {}
     if stored.get("key") == key:
         log.info("%s: cached (key %s)", run_dir.name, key[:12])
         return RunResult(
@@ -437,13 +476,14 @@ def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
     are parsed and labelled, unless the last recording this process scored
     had the same sha256: evaluating many runs of one recording parses it once,
     and a process that evaluates one run gains nothing. A run file that is
-    missing or not JSON raises PipelineError naming it.
+    missing or not JSON raises PipelineError naming it; a field that is
+    missing or malformed raises PipelineError naming the file and the field.
     """
     manifest = load_run_file(run_dir, "manifest.json")
-    demo_path = _locate("demos", manifest["demo"]["source"])
+    demo_path = _locate("demos", _field(manifest, "manifest.json", "demo.source", os.fspath))
     raw = read_bytes(demo_path)
     digest = sha256_bytes(raw)
-    if digest != manifest["demo"]["sha256"]:
+    if digest != _field(manifest, "manifest.json", "demo.sha256"):
         raise PipelineError(
             f"recording at {demo_path} no longer matches the manifest hash"
         )
@@ -451,7 +491,7 @@ def evaluate_run(run_dir) -> tuple[MetricReport, bool]:
     traj = load_run_file(run_dir, "trajectory.json")
     report = _score(traj, fps, recorded, labels)
     stored = load_run_file(run_dir, "metrics.json")
-    verified = canonical_dumps(stored["metrics"]) == canonical_dumps(report.to_dict())
+    verified = canonical_dumps(_field(stored, "metrics.json", "metrics")) == canonical_dumps(report.to_dict())
     return report, verified
 
 

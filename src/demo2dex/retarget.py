@@ -12,12 +12,20 @@ previous frame's solution:
 with w_f = FINGERTIP_WEIGHT, w_o = PALM_WEIGHT and w_s = SMOOTH_WEIGHT. The
 squared palm angle keeps the objective smooth at zero. Joint limits are box
 constraints handled by the solver.
+
+The solver is L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995): `minimize` drives
+scipy's compiled kernel `scipy.optimize._lbfgsb.setulb` in a loop of its own.
+The loop mirrors scipy's `_minimize_lbfgsb` call for call, so it gives what
+`scipy.optimize.minimize(method="L-BFGS-B")` gives, bit for bit, without the
+wrappers that method builds around each evaluation. A reference test compares
+the two and guards the loop against a scipy upgrade.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,21 +36,78 @@ from .spline import JerkMinSpline
 HAND_FRAME_DIM = 18  # five fingertips (15) plus palm normal (3)
 HUMAN_FINGERS = 5
 MAX_ITER = 200  # L-BFGS-B iterations per solve
+MAX_FUN = 4000  # L-BFGS-B objective evaluations per solve
 GRAD_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance
+FTOL = 1e-16  # L-BFGS-B relative objective-decrease tolerance
+LBFGS_MEMORY = 10  # L-BFGS-B correction pairs kept (scipy's `maxcor`)
+LBFGS_MAX_LS = 20  # L-BFGS-B line-search steps per iteration
 RESTARTS = 2  # random restarts allowed per frame after the warm-started solve
 RESTART_THRESHOLD = 3e-3  # m of mean tip error above which a frame is restarted
 FINGERTIP_WEIGHT = 1.0  # w_f
 PALM_WEIGHT = 0.1  # w_o
 SMOOTH_WEIGHT = 0.05  # w_s; a sequence's first frame has no predecessor and uses 0
 
+# `setulb` task codes in task[0]; with _STOP, task[1] 502 means MAX_FUN and 504 MAX_ITER
+_FG, _NEW_X, _CONVERGED, _STOP = 3, 1, 4, 5
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call, so that a process
-    that never retargets never loads scipy. Solves go through this module name,
-    which a profiler can wrap."""
-    from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(*args, **kwargs)
+class Solve(NamedTuple):
+    """One `minimize` result, its fields named as in scipy's `OptimizeResult`."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    status: int  # 0 converged, 1 stopped by MAX_ITER or MAX_FUN, 2 otherwise
+    success: bool
+
+
+def minimize(fun, x0, lo, hi) -> Solve:
+    """L-BFGS-B on `fun(x) -> (f, grad)` from `x0` inside the box [lo, hi].
+
+    The loop of scipy 1.17's `_minimize_lbfgsb`, with its settings and
+    workspaces, so every value passed to `setulb` is the one scipy passes.
+    scipy evaluates `fun` once at the clipped `x0` up front and answers the
+    first evaluation request from that; here the request itself evaluates, so
+    the evaluated points are the same. `fun` gets the solver's own `x`, which
+    changes in place, so it must not keep it. scipy is imported on the first
+    call, so that a process that never retargets never loads it. Solves go
+    through this module name, which a profiler can wrap.
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    m, n = LBFGS_MEMORY, len(x0)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    # scipy's bound types: 0 none, 1 lower only, 2 both, 3 upper only
+    nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0)).astype(np.int32)
+    low = np.where(has_lo, lo, 0.0)
+    up = np.where(has_hi, hi, 0.0)
+    factr = FTOL / np.finfo(float).eps
+    x = np.clip(x0, lo, hi)
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    nfev = nit = 0
+    while True:
+        setulb(m, x, low, up, nbd, f, g, factr, GRAD_TOL, wa, iwa, task, lsave, isave, dsave, LBFGS_MAX_LS, ln_task)
+        if task[0] == _FG:
+            f, g = fun(x)
+            nfev += 1
+        elif task[0] == _NEW_X:
+            # the limits are checked between iterations, never inside a line search
+            nit += 1
+            if nit >= MAX_ITER:
+                task[:] = _STOP, 504
+            elif nfev > MAX_FUN:
+                task[:] = _STOP, 502
+        else:
+            break
+    status = 0 if task[0] == _CONVERGED else 1 if nfev > MAX_FUN or nit >= MAX_ITER else 2
+    return Solve(x, f, nit, status, status == 0)
 
 
 class RetargetError(ValueError):
@@ -119,21 +184,13 @@ def retarget_frame(model: HandModel, h_frame, q_prev, smooth_weight: float = SMO
     if q_prev.shape != (model.dof,):
         raise RetargetError(f"q_prev must have shape ({model.dof},)")
     targets = _mapped_targets(model, tips)
-    bounds = list(zip(model.limits_lo, model.limits_hi))
 
     def fun(q):
         f, g, _ = _objective_terms(model, q, targets, normal_h, q_prev, smooth_weight)
         return f, g
 
     def solve_from(q0):
-        res = minimize(
-            fun,
-            model.clamp(q0),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": MAX_ITER, "ftol": 1e-16, "gtol": GRAD_TOL, "maxfun": 4000},
-        )
+        res = minimize(fun, q0, model.limits_lo, model.limits_hi)
         _, _, tip_err = _objective_terms(model, res.x, targets, normal_h, q_prev, smooth_weight)
         return FrameResult(
             q=res.x,

@@ -89,8 +89,13 @@ def test_eval_and_report_name_an_unfinished_run(toy3_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("name, content, problem", [
     ("manifest.json", b"{", "manifest.json is not JSON ("),
+    ("manifest.json", b"[]", "manifest.json has no field 'demo.source'"),
     ("trajectory.json", None, "no finished run (trajectory.json missing)"),
     ("trajectory.json", b"[1, 2", "trajectory.json is not JSON ("),
+    ("trajectory.json", b"{}", "trajectory.json has no field 'poses'"),
+    ("trajectory.json", b'{"poses": 3}', "trajectory.json field 'poses' is malformed ("),
+    ("trajectory.json", b'{"poses": [[0, 0, 0, 1, 0, 0, 0]], "frequency": 0}',
+     "trajectory.json field 'frequency' is malformed (0 is not a positive number)"),
     ("metrics.json", None, "no finished run (metrics.json missing)"),
     ("metrics.json", b"\xff\xfe{", "metrics.json is not JSON ("),
 ])

@@ -93,6 +93,19 @@ def test_stale_metrics_behind_a_matching_manifest_are_recomputed(toy3_config, to
     )
 
 
+def test_unreadable_manifest_is_a_cache_miss(toy3_config, toy3_run, tmp_path):
+    # a manifest that is not JSON, or not a JSON object, marks no finished
+    # run: the rerun recomputes and leaves a valid manifest behind
+    run_dir = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, run_dir)
+    for content in (b"{", b"[]"):
+        (run_dir / "manifest.json").write_bytes(content)
+        res = run_transfer(toy3_config, tmp_path, no_rl=True)
+        assert not res.cached
+        assert load_json(run_dir / "manifest.json")["key"] == res.key == toy3_run.key
+    assert run_transfer(toy3_config, tmp_path, no_rl=True).cached
+
+
 def no_retarget(*args, **kwargs):
     raise AssertionError("retargeting ran before the config was checked")
 
