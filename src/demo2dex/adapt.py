@@ -115,8 +115,7 @@ class ActionRescaler:
         fixed targets encodes once per target.
         """
         delta = np.minimum(np.maximum(np.asarray(delta, dtype=np.float64), -DELTA_MAX), DELTA_MAX)
-        a = np.minimum(np.maximum(a_base + delta, -1.0), 1.0)
-        return self.decode(a, base)
+        return self.decode(a_base + delta, base)
 
 
 # -- episode construction ---------------------------------------------------------

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import operator
 import sys
 
 from .jsonio import dump_json
+from .metrics import MetricReport
 from .pipeline import (
     PipelineError,
+    _field,
     aggregate,
     evaluate_run,
     load_run_file,
@@ -49,26 +52,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the transfer pipeline for a config")
     p_run.add_argument("config", help="bundled config name or path to a config JSON")
     p_run.add_argument("--out", default="runs", help="directory that receives run artifacts")
-    p_run.add_argument("--seed", type=int, default=0, help="single training seed")
-    p_run.add_argument("--seeds", type=_parse_seeds, default=None, help="seed sweep, e.g. 0:20 or 0,1,5")
+    p_run.add_argument("--seeds", type=_parse_seeds, default="0", help="training seeds, e.g. 3, 0:20 or 0,1,5")
     p_run.add_argument("--no-rl", action="store_true", help="skip residual training (baseline)")
     p_run.add_argument("--force", action="store_true", help="recompute even if cached")
     p_run.add_argument("--workers", type=int, default=1, help="parallel processes for seed sweeps")
+    p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="recompute and verify metrics for finished runs")
     p_eval.add_argument("run_dirs", nargs="+", help="run directories to verify")
+    p_eval.set_defaults(func=cmd_eval)
 
     p_rep = sub.add_parser("report", help="aggregate metrics across finished runs")
     p_rep.add_argument("run_dirs", nargs="+", help="run directories to aggregate")
     p_rep.add_argument("--json", default=None, help="also write the aggregate to this path")
+    p_rep.set_defaults(func=cmd_report)
     return parser
 
 
 def cmd_run(args) -> int:
     config = resolve_config(args.config)
-    seeds = args.seeds or [args.seed]
     rows = run_sweep(
-        config, args.out, seeds, no_rl=args.no_rl, force=args.force, workers=args.workers
+        config, args.out, args.seeds, no_rl=args.no_rl, force=args.force, workers=args.workers
     )
     for row in rows:
         print(
@@ -108,12 +112,12 @@ def cmd_report(args) -> int:
     for d in args.run_dirs:
         try:
             stored = load_run_file(d, "metrics.json")
+            row = _field(stored, "metrics.json", "metrics", lambda m: MetricReport(**m).to_dict())
+            row["grasp_success"] = _field(stored, "metrics.json", "grasp_success")
+            row["seed"] = _field(stored, "metrics.json", "seed", operator.index)
         except PipelineError as exc:
             print(f"{d}: {exc}", file=sys.stderr)
             return 1
-        row = dict(stored["metrics"])
-        row["grasp_success"] = stored["grasp_success"]
-        row["seed"] = stored["seed"]
         row["run_dir"] = d
         rows.append(row)
     agg = aggregate(rows)
@@ -136,13 +140,7 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    if args.command == "report":
-        return cmd_report(args)
-    return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .geometry import Pose6, Rotation3, cross3
 from .jsonio import load_json
 
 WORLD = "world"
+HUMAN_FINGERS = 5  # recorded fingers a correspondence maps, thumb first
 
 _EYE3 = np.eye(3)
 _ZERO3 = np.zeros(3)
@@ -171,6 +172,8 @@ class HandModel:
                 raise HandModelError(f"fingertip site '{s.name}': link '{s.link}' has no collision primitive")
         site_names = {s.name for s in self.fingertip_sites}
         for finger, site in self.correspondence.items():
+            if finger < 0 or finger >= HUMAN_FINGERS:
+                raise HandModelError(f"correspondence finger index {finger} out of range")
             if site not in site_names:
                 raise HandModelError(f"correspondence for finger {finger} references unknown site '{site}'")
         if [j.jtype for j in self.joints[:6]] != ["prismatic"] * 3 + ["revolute"] * 3:

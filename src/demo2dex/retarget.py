@@ -30,11 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import cross3, row_dots
-from .hand import HandModel
+from .hand import HUMAN_FINGERS, HandModel
 from .spline import JerkMinSpline
 
 HAND_FRAME_DIM = 18  # five fingertips (15) plus palm normal (3)
-HUMAN_FINGERS = 5
 MAX_ITER = 200  # L-BFGS-B iterations per solve
 MAX_FUN = 4000  # L-BFGS-B objective evaluations per solve
 GRAD_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance
@@ -139,8 +138,6 @@ def _mapped_targets(model: HandModel, tips: np.ndarray):
     """(fingertip site indices (K,), target positions (K, 3)) of the fingers the hand maps."""
     ks, out = [], []
     for finger, name in sorted(model.correspondence.items()):
-        if finger < 0 or finger >= HUMAN_FINGERS:
-            raise RetargetError(f"correspondence finger index {finger} out of range")
         ks.append(model.fingertip_order[name])
         out.append(tips[finger])
     return np.array(ks, dtype=np.intp), np.array(out).reshape(-1, 3)

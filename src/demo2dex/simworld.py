@@ -14,17 +14,17 @@ Model choices, in order of importance:
   step, on `SimWorld.fkres`, the FK of the current joint vector (a clone
   shares it; an `FKResult` is never modified). It leaves the contacts that the
   next step integrates, and `collision_query` reads them. Each hand primitive
-  and object piece pass four tests in turn, and a pair that fails one is
-  dropped: the bounding spheres on floats, a face plane on floats, the
-  bounding spheres on arrays, and the exact GJK query. A bounding sphere
-  holds every point of its body, so a pair whose spheres are farther apart
-  than DETECT_MARGIN is farther apart still. The hull lies inside each of its
-  face half-spaces, so when both segment endpoints lie beyond one face plane
-  by more than the radius plus DETECT_MARGIN, the whole capsule does, and
-  GJK, whose witness distance bounds the true one from above, would return
-  more than the margin. The float tests carry a relative slack, CULL_SLACK,
-  far above their rounding error, so they drop only pairs that the exact
-  test rejects; the array work is done only for the pairs they pass.
+  and object piece pass three tests in turn, and a pair that fails one is
+  dropped: the bounding spheres, a face plane, both on floats, and the exact
+  GJK query. A bounding sphere holds every point of its body, so a pair whose
+  spheres are farther apart than DETECT_MARGIN is farther apart still. The
+  hull lies inside each of its face half-spaces, so when both segment
+  endpoints lie beyond one face plane by more than the radius plus
+  DETECT_MARGIN, the whole capsule does, and GJK, whose witness distance
+  bounds the true one from above, would return more than the margin. The
+  float tests carry a relative slack, CULL_SLACK, far above their rounding
+  error, so they drop only pairs that the exact test rejects; a pair inside
+  the slack reaches GJK, which drops it on its distance.
 * One object trajectory per lineage. The hand reaches the object only through
   the hand contacts in a step's contact set: the reaction torques, the
   per-contact mass share and every force come from that set. So from a
@@ -256,13 +256,15 @@ class SimWorld:
 
     # -- state management ---------------------------------------------------
 
-    def reset(self, q, object_pose: Pose6, v=None, w=None) -> None:
+    def reset(self, q, object_pose: Pose6) -> None:
+        """Put the hand at rest at `q`, clamped to its limits, and the object
+        at rest at `object_pose`, then detect the contacts of that state."""
         self.q = self.model.clamp(np.asarray(q, dtype=np.float64).copy())
         self.qdot = np.zeros(self.model.dof)
         self.rot = object_pose.rot
         self.com_w = object_pose.pos + object_pose.rot.apply(self.geometry.com)
-        self.v = np.zeros(3) if v is None else np.asarray(v, dtype=np.float64).copy()
-        self.w = np.zeros(3) if w is None else np.asarray(w, dtype=np.float64).copy()
+        self.v = np.zeros(3)
+        self.w = np.zeros(3)
         self.step_index = 0
         self.fkres = self.model.fk(self.q)
         self._contacts: dict[tuple, _Contact] = {}
@@ -324,8 +326,7 @@ class SimWorld:
         margin = DETECT_MARGIN
         fk, prev_fk = self.fkres, self._prev_fk
         pieces = self.geometry.pieces
-        centers = [pose.apply(piece.centroid) for piece in pieces]
-        centers_f = [c.tolist() for c in centers]
+        centers_f = [pose.apply(piece.centroid).tolist() for piece in pieces]
         fresh: dict[tuple, _Contact] = {}
         for idx, (link, a, b, r, ends_link, (m0, m1, m2), reach_local) in enumerate(self._prims):
             rot, pos = fk.link_rot[link], fk.link_pos[link]
@@ -356,13 +357,7 @@ class SimWorld:
                     continue
                 if a_w is None:
                     a_w, b_w = rot.dot(a) + pos, rot.dot(b) + pos
-                    mid = 0.5 * (a_w + b_w)
                     seg = b_w - a_w
-                    half_len = 0.5 * math.sqrt(seg.dot(seg))
-                reach = half_len + r + piece.bound_radius + margin
-                diff = mid - centers[pi]
-                if diff.dot(diff) > reach * reach:
-                    continue
                 d, p_prim, p_piece, n_local = segment_piece_signed(inv.apply(a_w), inv.apply(b_w), r, piece)
                 if d > margin:
                     continue

@@ -19,17 +19,14 @@ class SplineError(ValueError):
 def _interior_solve(h: np.ndarray, rhs: np.ndarray, m0, mlast) -> np.ndarray:
     """Solve the C1 continuity system for interior second derivatives.
 
-    Equations for i = 1..n-2:
+    Equations for i = 1..n-2, over n >= 3 knots:
       h[i-1]/6 * M[i-1] + (h[i-1]+h[i])/3 * M[i] + h[i]/6 * M[i+1] = rhs[i-1]
     with M[0] = m0 and M[n-1] = mlast moved to the right-hand side.
     rhs, m0, mlast may carry a trailing joint dimension.
     """
     from scipy.linalg import solve_banded
 
-    n = len(h) + 1
-    k = n - 2
-    if k == 0:
-        return np.empty((0,) + rhs.shape[1:])
+    k = len(h) - 1
     diag = (h[:-1] + h[1:]) / 3.0
     lower = h[1:-1] / 6.0
     upper = h[1:-1] / 6.0
@@ -53,15 +50,14 @@ class JerkMinSpline:
 
     @staticmethod
     def fit(times, values) -> "JerkMinSpline":
+        """The spline through `values` (n, d), one row per knot of `times` (n,)."""
         t = np.asarray(times, dtype=np.float64)
         y = np.asarray(values, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
         n = len(t)
         if n < 2:
             raise SplineError("need at least two knots")
-        if y.shape[0] != n:
-            raise SplineError("times and values disagree on knot count")
+        if y.ndim != 2 or y.shape[0] != n:
+            raise SplineError("values must hold one row per knot time")
         h = np.diff(t)
         if np.any(h <= 0):
             raise SplineError("knot times must be strictly increasing")

@@ -269,14 +269,15 @@ def fake_records(tip_dists, contacts):
     return [FakeRecord(d, c) for d, c in zip(tip_dists, contacts)]
 
 
-def small_env(toy_hand, lift_demo) -> GraspEnv:
-    """A ten-step episode holding toy3 at mid-range beside the resting box."""
+def small_env(toy_hand, lift_demo, a_primary=None) -> GraspEnv:
+    """A ten-step episode holding toy3 at mid-range beside the resting box, or
+    following the plan targets `a_primary`."""
     q0 = toy_hand.mid_range()
     q_path = np.tile(q0, (4, 1))
     plan = ControlPlan(
         q_path=q_path,
         spline=fit_smooth_trajectory(q_path, 30.0),
-        a_primary=np.tile(q0, (10, 1)),
+        a_primary=np.tile(q0, (10, 1)) if a_primary is None else a_primary,
         frequency=120.0,
         fps=30.0,
     )
@@ -285,6 +286,22 @@ def small_env(toy_hand, lift_demo) -> GraspEnv:
     )
     world = SimWorld(toy_hand, lift_demo.geometry, SimConfig(), q0, lift_demo.object_poses[0])
     return GraspEnv(world, plan, episode, GUIDE_MAP)
+
+
+def test_episode_past_the_plan_holds_its_last_target(toy_hand, lift_demo):
+    # a six-step plan under a ten-step episode; the fingers close along the plan
+    a_primary = np.tile(toy_hand.mid_range(), (6, 1))
+    a_primary[:, 6:] += np.linspace(0.0, 0.1, 6)[:, None]
+    env = small_env(toy_hand, lift_demo, a_primary)
+    env.reset()
+    executed, done = [], False
+    while not done:
+        _, _, done, info = env.step(np.zeros(env.dim_act))
+        executed.append(info["executed"])
+    assert len(executed) == 10
+    assert executed[4].tobytes() != executed[5].tobytes()
+    for row in executed[6:]:
+        assert row.tobytes() == executed[5].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

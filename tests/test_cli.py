@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from demo2dex import cli
-from demo2dex.cli import _parse_seeds, main
+from demo2dex.cli import _parse_seeds, build_parser, main
 from demo2dex.jsonio import dump_json, load_json
 
 
@@ -20,6 +20,23 @@ def test_parse_seeds(tmp_path):
         main(["run", "lift_box_toy", "--seeds", "5:2", "--out", str(tmp_path)])
     assert exc.value.code != 0
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    ([], [0]),
+    (["--seed", "3"], [3]),  # the unique prefix of --seeds
+    (["--seeds", "0:3"], [0, 1, 2]),
+], ids=["default", "prefix", "range"])
+def test_one_seed_option(argv, seeds):
+    assert build_parser().parse_args(["run", "x", *argv]).seeds == seeds
+
+
+def test_run_help_lists_one_seed_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    options = capsys.readouterr().out.split()
+    assert "--seeds" in options
+    assert "--seed" not in options
 
 
 def test_repeated_seed_is_a_usage_error(tmp_path, capsys):
@@ -110,6 +127,19 @@ def test_eval_names_a_broken_run_file_and_goes_on(toy3_run, tmp_path, capsys, na
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"{broken}: {problem}")
     assert lines[1].startswith(f"{toy3_run.run_dir}: verified")
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b"[]", "metrics.json has no field 'metrics'"),
+    (b"{}", "metrics.json has no field 'metrics'"),
+    (b'{"metrics": []}', "metrics.json field 'metrics' is malformed ("),
+], ids=["list", "empty", "metrics-list"])
+def test_report_names_metrics_of_the_wrong_shape(toy3_run, tmp_path, capsys, content, problem):
+    broken = tmp_path / toy3_run.run_dir.name
+    shutil.copytree(toy3_run.run_dir, broken)
+    (broken / "metrics.json").write_bytes(content)
+    assert main(["report", str(toy3_run.run_dir), str(broken)]) == 1
+    assert capsys.readouterr().err.startswith(f"{broken}: {problem}")
 
 
 def test_report_names_metrics_that_are_not_json(toy3_run, tmp_path, capsys):

@@ -331,6 +331,12 @@ def test_malformed_hand_rejected():
     with pytest.raises(HandModelError):
         hand_from_dict(missing)
 
+    for finger in ("5", "-1"):  # recorded fingers are 0 to 4
+        beyond = planar_hand_dict()
+        beyond["correspondence"] = {finger: "tip"}
+        with pytest.raises(HandModelError, match=f"finger index {finger} out of range"):
+            hand_from_dict(beyond)
+
     swapped = planar_hand_dict()
     swapped["joints"][7]["limits"] = [1.8, -0.3]
     with pytest.raises(HandModelError):

@@ -195,6 +195,37 @@ def test_time_stretched_recording_passes_tsr_against_itself(lift_demo, stretch):
     assert ok
 
 
+def held_at_start(recorded: np.ndarray) -> np.ndarray:
+    return np.repeat(recorded[:1], len(recorded), axis=0)
+
+
+def mirrored_height(recorded: np.ndarray) -> np.ndarray:
+    # down, then up: reversing time instead would keep [LIFT, FALL]
+    out = recorded.copy()
+    out[:, 2] = 2.0 * recorded[0, 2] - recorded[:, 2]
+    return out
+
+
+def slid_over_the_lift(recorded: np.ndarray) -> np.ndarray:
+    # 10 cm along x over the frames of the recorded lift (95-120): spread over
+    # the whole recording, the same move is too slow to label at all
+    out = held_at_start(recorded)
+    out[:, 0] += 0.1 * np.clip((np.arange(len(recorded)) - 95) / 25, 0.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("path, want", [
+    (held_at_start, []),
+    (mirrored_height, [FALL, LIFT]),
+    (slid_over_the_lift, [TRANSLATE]),
+])
+def test_other_object_paths_fail_tsr_against_the_recording(lift_demo, path, want):
+    recorded = lift_demo.object_rows
+    executed = encode_semantics(path(recorded))
+    assert executed == want
+    assert tsr(executed, encode_semantics(recorded)) == (1.0, False)
+
+
 class TestEpEr:
     def test_hand_computed(self):
         executed = rows([pose_at(pos=(0.03, 0.04, 0)), pose_at(rotvec=(0, 0, np.radians(90)))])

@@ -21,6 +21,7 @@ from demo2dex.hand import HandModelError
 from demo2dex.jsonio import dump_json, load_json
 from demo2dex.metrics import encode_semantics
 from demo2dex.pipeline import evaluate_run, run_sweep, run_transfer
+from demo2dex.wrist import WristPlanError
 
 # metrics of the toy3 --no-rl run, recorded from the implementation this
 # test was written against; any change to them is a change of behaviour
@@ -197,6 +198,20 @@ def test_sweep_rejects_repeated_seeds_and_no_workers(toy3_config, tmp_path, monk
     with pytest.raises(ValueError, match=problem):
         run_sweep(toy3_config, tmp_path, seeds, no_rl=True, workers=workers)
     assert not any(tmp_path.iterdir())
+
+
+def test_wrist_plan_failure_finishes_the_run(toy3_config, tmp_path, monkeypatch):
+    def no_plan(*args):
+        raise WristPlanError("no carry for this grasp")
+
+    monkeypatch.setattr(pipeline, "plan_wrist", no_plan)
+    res = run_transfer(toy3_config, tmp_path, no_rl=True)
+    assert not res.cached
+    assert "no carry for this grasp" in load_json(res.run_dir / "metrics.json")["warnings"]
+    traj = load_json(res.run_dir / "trajectory.json")
+    assert traj["dropped"] is False
+    assert traj["manip_len"] == 0
+    assert evaluate_run(res.run_dir)[1]
 
 
 def test_code_change_recomputes_the_run(toy3_config, toy3_run, tmp_path, monkeypatch):

@@ -7,8 +7,9 @@ import scipy.optimize
 from scipy.optimize import _lbfgsb
 
 from demo2dex import retarget
+from demo2dex.hand import HUMAN_FINGERS
 from demo2dex.pipeline import resolve_demo, resolve_hand
-from demo2dex.retarget import HUMAN_FINGERS, retarget_frame
+from demo2dex.retarget import retarget_frame
 
 from conftest import BUNDLED_HANDS
 

@@ -128,7 +128,8 @@ def test_ground_friction_brakes_sliding():
     def slide(mu):
         cfg = SimConfig(friction_mu=mu)
         world = far_hand_world(geo, config=cfg, pose=start)
-        world.reset(world.q, start, v=np.array([0.2, 0.0, 0.0]))
+        world.reset(world.q, start)
+        world.v = np.array([0.2, 0.0, 0.0])
         hand_q = world.q.copy()
         for _ in range(240):
             state = world.step(hand_q)
@@ -178,11 +179,22 @@ def assert_fk_cached(world):
 
 def test_energy_guard_raises():
     world = far_hand_world(box_geometry())
-    world.reset(world.q, Pose6(np.array([0.0, 0.0, 5.0]), Rotation3.identity()),
-                v=np.array([200.0, 0.0, 0.0]))
+    world.reset(world.q, Pose6(np.array([0.0, 0.0, 5.0]), Rotation3.identity()))
+    world.v = np.array([200.0, 0.0, 0.0])
     with pytest.raises(SimDivergenceError):
         world.step(world.q + 0.05)
     assert_fk_cached(world)
+
+
+def test_bad_control_is_rejected_before_the_step():
+    world = far_hand_world(box_geometry())
+    q = world.q.copy()
+    dof = world.model.dof
+    for bad, problem in ((np.zeros(dof + 1), "shape"), (np.full(dof, np.nan), "non-finite")):
+        with pytest.raises(ValueError, match=problem):
+            world.step(bad)
+        assert world.step_index == 0
+        assert world.q.tobytes() == q.tobytes()
 
 
 def test_pd_servo_tracks_joint_targets():

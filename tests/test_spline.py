@@ -104,3 +104,5 @@ def test_rejects_bad_knots():
         JerkMinSpline.fit([0.0, 0.0, 1.0], [[1.0], [2.0], [3.0]])
     with pytest.raises(SplineError):
         JerkMinSpline.fit([0.0, 1.0], [[1.0], [2.0], [3.0]])
+    with pytest.raises(SplineError):  # values are one row per knot
+        JerkMinSpline.fit([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
