@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import operator
 import sys
 
@@ -39,6 +40,32 @@ def _parse_seeds(spec: str) -> list[int]:
     if repeated is not None:
         raise argparse.ArgumentTypeError(f"seed spec {spec!r} repeats seed {repeated}")
     return seeds
+
+
+def _finite(value) -> float:
+    """`value` as a finite float; ValueError otherwise."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _flag(value) -> bool:
+    """`value` if it is a JSON boolean; TypeError otherwise."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+# the `metrics` fields that `report` prints and aggregates, with their converters
+REPORTED_METRICS = {
+    "ep": _finite,
+    "er_deg": _finite,
+    "tsr_score": _finite,
+    "sr_grasp": _flag,
+    "sr_follow": _flag,
+    "tsr_success": _flag,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,10 +138,13 @@ def cmd_report(args) -> int:
     rows = []
     for d in args.run_dirs:
         try:
-            stored = load_run_file(d, "metrics.json")
-            row = _field(stored, "metrics.json", "metrics", lambda m: MetricReport(**m).to_dict())
-            row["grasp_success"] = _field(stored, "metrics.json", "grasp_success")
-            row["seed"] = _field(stored, "metrics.json", "seed", operator.index)
+            name = "metrics.json"
+            stored = load_run_file(d, name)
+            row = _field(stored, name, "metrics", lambda m: MetricReport(**m).to_dict())
+            for key, convert in REPORTED_METRICS.items():
+                row[key] = _field(stored, name, f"metrics.{key}", convert)
+            row["grasp_success"] = _field(stored, name, "grasp_success", _flag)
+            row["seed"] = _field(stored, name, "seed", operator.index)
         except PipelineError as exc:
             print(f"{d}: {exc}", file=sys.stderr)
             return 1

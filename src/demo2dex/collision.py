@@ -11,16 +11,20 @@ A piece checks its vertices when it is made: at least four 3D points, all
 finite, spanning a volume (rank 3 about the first vertex). Its hull (the
 triangles, face planes and volume) is built by qhull the first time any of
 those fields is read, and that build also checks that every vertex lies
-inside the hull. So loading and scoring a recording never loads scipy, and a
-piece that passes the rank test but that qhull rejects raises
-`GeometryError` at that first read. Qhull stays the only hull code because
-`simworld._body_inertia` sums over its triangles in its order: each of 200
-random orders of the bundled box's 12 triangles changed the inertia's bits.
+inside the hull. The build loads scipy's qhull extension on its own
+(`kernels.scipy_kernel`), not the `scipy.spatial` package, and reads
+`ConvexHull` and `QhullError` from it at each build. So loading and scoring a
+recording never loads scipy, and a piece that passes the rank test but that
+qhull rejects raises `GeometryError` at that first read. Qhull stays the only
+hull code because `simworld._body_inertia` sums over its triangles in its
+order: each of 200 random orders of the bundled box's 12 triangles changed
+the inertia's bits.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .kernels import scipy_kernel
 
 GJK_MAX_ITER = 64  # GJK iterations before the current witness pair is returned
 HULL_FIELDS = ("simplices", "face_n", "face_b", "planes", "volume")  # built by qhull on first read
@@ -101,11 +105,10 @@ class ConvexPiece:
         return None, slots
 
     def _build_hull(self) -> None:
-        from scipy.spatial import ConvexHull, QhullError
-
+        qhull = scipy_kernel("spatial", "_qhull")
         try:
-            hull = ConvexHull(self.vertices)
-        except QhullError as exc:
+            hull = qhull.ConvexHull(self.vertices)
+        except qhull.QhullError as exc:
             raise GeometryError(f"degenerate convex piece (qhull: {exc})") from exc
         # outward faces: n . x <= b
         face_n = hull.equations[:, :3].copy()

@@ -15,10 +15,12 @@ constraints handled by the solver.
 
 The solver is L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995): `minimize` drives
 scipy's compiled kernel `scipy.optimize._lbfgsb.setulb` in a loop of its own.
-The loop mirrors scipy's `_minimize_lbfgsb` call for call, so it gives what
-`scipy.optimize.minimize(method="L-BFGS-B")` gives, bit for bit, without the
-wrappers that method builds around each evaluation. A reference test compares
-the two and guards the loop against a scipy upgrade.
+The kernel's extension is loaded on its own (`kernels.scipy_kernel`), without
+the `scipy.optimize` package. The loop mirrors scipy's `_minimize_lbfgsb`
+call for call, so it gives what `scipy.optimize.minimize(method="L-BFGS-B")`
+gives, bit for bit, without the wrappers that method builds around each
+evaluation. A reference test compares the two and guards the loop against a
+scipy upgrade.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import numpy as np
 
 from .geometry import cross3, row_dots
 from .hand import HUMAN_FINGERS, HandModel
+from .kernels import scipy_kernel
 from .spline import JerkMinSpline
 
 HAND_FRAME_DIM = 18  # five fingertips (15) plus palm normal (3)
@@ -68,11 +71,12 @@ def minimize(fun, x0, lo, hi) -> Solve:
     scipy evaluates `fun` once at the clipped `x0` up front and answers the
     first evaluation request from that; here the request itself evaluates, so
     the evaluated points are the same. `fun` gets the solver's own `x`, which
-    changes in place, so it must not keep it. scipy is imported on the first
-    call, so that a process that never retargets never loads it. Solves go
-    through this module name, which a profiler can wrap.
+    changes in place, so it must not keep it. The L-BFGS-B extension is
+    loaded on the first call, so that a process that never retargets never
+    loads scipy, and `setulb` is read from it on every call, where a test can
+    patch it. Solves go through this module name, which a profiler can wrap.
     """
-    from scipy.optimize._lbfgsb import setulb
+    setulb = scipy_kernel("optimize", "_lbfgsb").setulb
 
     m, n = LBFGS_MEMORY, len(x0)
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
@@ -182,13 +186,20 @@ def retarget_frame(model: HandModel, h_frame, q_prev, smooth_weight: float = SMO
         raise RetargetError(f"q_prev must have shape ({model.dof},)")
     targets = _mapped_targets(model, tips)
 
+    last_q, last_err = b"", 0.0  # the last evaluated point's bytes, and its tip error
+
     def fun(q):
-        f, g, _ = _objective_terms(model, q, targets, normal_h, q_prev, smooth_weight)
+        nonlocal last_q, last_err
+        f, g, last_err = _objective_terms(model, q, targets, normal_h, q_prev, smooth_weight)
+        last_q = q.tobytes()
         return f, g
 
     def solve_from(q0):
         res = minimize(fun, q0, model.limits_lo, model.limits_hi)
-        _, _, tip_err = _objective_terms(model, res.x, targets, normal_h, q_prev, smooth_weight)
+        if res.x.tobytes() == last_q:
+            tip_err = last_err
+        else:  # a failed line search ends on an earlier iterate
+            _, _, tip_err = _objective_terms(model, res.x, targets, normal_h, q_prev, smooth_weight)
         return FrameResult(
             q=res.x,
             objective=float(res.fun),

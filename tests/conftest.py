@@ -151,19 +151,24 @@ def toy_config():
     return resolve_config("lift_box_toy")
 
 
-@pytest.fixture(scope="session")
-def toy3_config(tmp_path_factory):
-    """The bundled config on the lift at every 4th frame, which keeps one
-    fresh `--no-rl` run near four seconds."""
-    work = tmp_path_factory.mktemp("toy3")
+def strided_config(work, stride: int) -> dict:
+    """The bundled config on every `stride`-th frame of the lift, its
+    recording written to `work`."""
     recording = json.loads(asset_path("demos", "lift_box.json").read_text())
-    recording["frames"] = recording["frames"][::STRIDE]
-    recording["fps"] = recording["fps"] / STRIDE
+    recording["frames"] = recording["frames"][::stride]
+    recording["fps"] = recording["fps"] / stride
     rec_path = work / "recording.json"
     rec_path.write_text(json.dumps(recording))
     config = resolve_config("lift_box_toy")
     config["demo"] = str(rec_path)
     return config
+
+
+@pytest.fixture(scope="session")
+def toy3_config(tmp_path_factory):
+    """The bundled config on the lift at every 4th frame, which keeps one
+    fresh `--no-rl` run near four seconds."""
+    return strided_config(tmp_path_factory.mktemp("toy3"), STRIDE)
 
 
 @pytest.fixture(scope="session")

@@ -133,11 +133,20 @@ def test_eval_names_a_broken_run_file_and_goes_on(toy3_run, tmp_path, capsys, na
     (b"[]", "metrics.json has no field 'metrics'"),
     (b"{}", "metrics.json has no field 'metrics'"),
     (b'{"metrics": []}', "metrics.json field 'metrics' is malformed ("),
-], ids=["list", "empty", "metrics-list"])
+    # one field of the run's own metrics.json replaced
+    (lambda m: m["metrics"].update(ep="x"), "metrics.json field 'metrics.ep' is malformed ("),
+    (lambda m: m.update(grasp_success="yes"),
+     "metrics.json field 'grasp_success' is malformed ('yes' is not a boolean)"),
+], ids=["list", "empty", "metrics-list", "ep-string", "grasp-string"])
 def test_report_names_metrics_of_the_wrong_shape(toy3_run, tmp_path, capsys, content, problem):
     broken = tmp_path / toy3_run.run_dir.name
     shutil.copytree(toy3_run.run_dir, broken)
-    (broken / "metrics.json").write_bytes(content)
+    if callable(content):
+        stored = load_json(broken / "metrics.json")
+        content(stored)
+        dump_json(stored, broken / "metrics.json")
+    else:
+        (broken / "metrics.json").write_bytes(content)
     assert main(["report", str(toy3_run.run_dir), str(broken)]) == 1
     assert capsys.readouterr().err.startswith(f"{broken}: {problem}")
 

@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, _qhull
 
 from demo2dex import collision
 from demo2dex.collision import (
@@ -312,7 +311,8 @@ def test_one_hull_read_builds_every_field_once(first, monkeypatch):
         builds.append(points)
         return ConvexHull(points)
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting_hull)
+    # the class a build reads, which `scipy.spatial` re-exports
+    monkeypatch.setattr(_qhull, "ConvexHull", counting_hull)
     piece = box_piece([0.01, 0.02, 0.03])
     assert not builds
     getattr(piece, first)

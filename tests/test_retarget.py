@@ -67,6 +67,33 @@ def test_every_solve_goes_through_the_module_minimize(monkeypatch):
     assert len(seen) > len(frames)
 
 
+@pytest.mark.parametrize("ends_on_last", [True, False], ids=["last-evaluated", "earlier-point"])
+def test_tip_error_is_the_one_at_the_returned_point(ends_on_last, monkeypatch):
+    # a solve that ends on the point it evaluated last reuses that point's
+    # tip error, with no further FK; one that ends elsewhere, as a failed
+    # line search does, recomputes it at its own point
+    model, _ = resolve_hand("toy3")
+    demo, _ = resolve_demo("lift_box")
+    h, q_prev = demo.hand[0], model.clamp(np.zeros(model.dof))
+    module_minimize, fk = retarget.minimize, model.fk
+    evals, solves, fk_calls = [], [], []
+
+    def solve(fun, x0, lo, hi):
+        solves.append(x0)
+        res = module_minimize(lambda x: evals.append(0) or fun(x), x0, lo, hi)
+        return res if ends_on_last else res._replace(x=np.clip(x0, lo, hi))
+
+    monkeypatch.setattr(retarget, "minimize", solve)
+    monkeypatch.setattr(model, "fk", lambda q: fk_calls.append(0) or fk(q))
+    res = retarget_frame(model, h, q_prev)
+    assert len(fk_calls) == len(evals) + (0 if ends_on_last else len(solves))
+    monkeypatch.undo()
+    tips, normal = retarget.split_hand_frame(h)
+    targets = retarget._mapped_targets(model, tips)
+    _, _, tip_err = retarget._objective_terms(model, res.q, targets, normal, q_prev, retarget.SMOOTH_WEIGHT)
+    assert res.mean_tip_error == tip_err
+
+
 # -- the L-BFGS-B loop against scipy's own --------------------------------------------
 
 def kernel_calls(monkeypatch, calls: list):
