@@ -12,13 +12,14 @@ finite, spanning a volume (rank 3 about the first vertex). Its hull (the
 triangles, face planes and volume) is built by qhull the first time any of
 those fields is read, and that build also checks that every vertex lies
 inside the hull. The build loads scipy's qhull extension on its own
-(`kernels.scipy_kernel`), not the `scipy.spatial` package, and reads
-`ConvexHull` and `QhullError` from it at each build. So loading and scoring a
-recording never loads scipy, and a piece that passes the rank test but that
-qhull rejects raises `GeometryError` at that first read. Qhull stays the only
-hull code because `simworld._body_inertia` sums over its triangles in its
-order: each of 200 random orders of the bundled box's 12 triangles changed
-the inertia's bits.
+(`kernels.scipy_kernel`), after the LAPACK table it imports
+(`scipy.linalg.cython_lapack`), not the `scipy.spatial` or `scipy.linalg`
+package, and reads `ConvexHull` and `QhullError` from it at each build.
+So loading and scoring a recording never loads scipy, and a piece that passes
+the rank test but that qhull rejects raises `GeometryError` at that first
+read. Qhull stays the only hull code because `simworld._body_inertia` sums
+over its triangles in its order: each of 200 random orders of the bundled
+box's 12 triangles changed the inertia's bits.
 """
 from __future__ import annotations
 
@@ -105,6 +106,7 @@ class ConvexPiece:
         return None, slots
 
     def _build_hull(self) -> None:
+        scipy_kernel("linalg", "cython_lapack")  # else _qhull's import of it runs scipy.linalg's __init__
         qhull = scipy_kernel("spatial", "_qhull")
         try:
             hull = qhull.ConvexHull(self.vertices)

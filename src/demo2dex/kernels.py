@@ -1,11 +1,13 @@
 """scipy's compiled kernels, loaded without the packages around them.
 
 Retargeting calls one routine of scipy's L-BFGS-B extension
-(`scipy.optimize._lbfgsb.setulb`) and hull building one class of its qhull
-extension (`scipy.spatial._qhull.ConvexHull`). Importing `scipy.optimize` and
-`scipy.spatial` to reach them runs both packages' `__init__`, which loads
-hundreds of modules the program never calls. `scipy_kernel` loads the
-extension file alone.
+(`scipy.optimize._lbfgsb.setulb`), the spline one LAPACK routine
+(`scipy.linalg._flapack.dgtsv`) and hull building one class of its qhull
+extension (`scipy.spatial._qhull.ConvexHull`), which imports scipy's Cython
+LAPACK table (`scipy.linalg.cython_lapack`), so a hull build loads that table
+first. Importing `scipy.optimize`, `scipy.linalg` and `scipy.spatial` to reach
+them runs the packages' `__init__`, which loads hundreds of modules the
+program never calls. `scipy_kernel` loads the extension file alone.
 """
 from __future__ import annotations
 

@@ -6,10 +6,17 @@ solve the C1-continuity tridiagonal system for the interior M given the
 boundary pair, and pick the boundary pair that minimizes the jerk energy
 sum_i (M_{i+1} - M_i)^2 / h_i, which is the integral of the squared third
 derivative for a piecewise cubic.
+
+The tridiagonal solve calls LAPACK's `dgtsv` from scipy's `_flapack`
+extension (`kernels.scipy_kernel`), the routine `scipy.linalg.solve_banded`
+calls for a (1, 1) band, with `solve_banded`'s checks, so a fit loads neither
+`scipy.linalg` nor any other scipy package.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .kernels import scipy_kernel
 
 
 class SplineError(ValueError):
@@ -23,21 +30,26 @@ def _interior_solve(h: np.ndarray, rhs: np.ndarray, m0, mlast) -> np.ndarray:
       h[i-1]/6 * M[i-1] + (h[i-1]+h[i])/3 * M[i] + h[i]/6 * M[i+1] = rhs[i-1]
     with M[0] = m0 and M[n-1] = mlast moved to the right-hand side.
     rhs, m0, mlast may carry a trailing joint dimension.
-    """
-    from scipy.linalg import solve_banded
 
-    k = len(h) - 1
+    Gives `scipy.linalg.solve_banded((1, 1), ...)`'s result bit for bit and
+    raises as it does: ValueError for a non-finite entry or an illegal
+    argument, `numpy.linalg.LinAlgError` for a singular system.
+    """
     diag = (h[:-1] + h[1:]) / 3.0
-    lower = h[1:-1] / 6.0
-    upper = h[1:-1] / 6.0
+    off = h[1:-1] / 6.0  # the system is symmetric: sub- and superdiagonal
     b = rhs.copy()
     b[0] = b[0] - h[0] / 6.0 * m0
     b[-1] = b[-1] - h[-1] / 6.0 * mlast
-    ab = np.zeros((3, k))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, b)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(diag) == 1:
+        return b / diag[0]  # a 1x1 system, divided as solve_banded divides it
+    _, _, _, x, info = scipy_kernel("linalg", "_flapack").dgtsv(off, diag, off, b, False, False, False, False)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 class JerkMinSpline:
@@ -58,6 +70,8 @@ class JerkMinSpline:
             raise SplineError("need at least two knots")
         if y.ndim != 2 or y.shape[0] != n:
             raise SplineError("values must hold one row per knot time")
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise SplineError("knot times and values must be finite")
         h = np.diff(t)
         if np.any(h <= 0):
             raise SplineError("knot times must be strictly increasing")
@@ -69,9 +83,13 @@ class JerkMinSpline:
         slopes = np.diff(y, axis=0) / h[:, None]
         rhs = slopes[1:] - slopes[:-1]
         zeros = np.zeros(d)
-        m_nat = _interior_solve(h, rhs, zeros, zeros)
-        m_a = _interior_solve(h, np.zeros((n - 2, 1)), np.array([1.0]), np.array([0.0]))[:, 0]
-        m_b = _interior_solve(h, np.zeros((n - 2, 1)), np.array([0.0]), np.array([1.0]))[:, 0]
+        # one solve for three systems: the natural curvatures (M[0] = M[n-1]
+        # = 0, d columns), then unit M[0] and unit M[n-1] over zero data
+        m0 = np.zeros(d + 2)
+        mlast = np.zeros(d + 2)
+        m0[d] = mlast[d + 1] = 1.0
+        m_int = _interior_solve(h, np.hstack([rhs, np.zeros((n - 2, 2))]), m0, mlast)
+        m_nat, m_a, m_b = m_int[:, :d], m_int[:, d], m_int[:, d + 1]
         # full M vectors as affine functions of the boundary pair (alpha, beta)
         base = np.vstack([zeros, m_nat, zeros])
         va = np.concatenate([[1.0], m_a, [0.0]])

@@ -28,15 +28,21 @@ from demo2dex.pipeline import run_transfer
 config, out_dir = json.loads(sys.argv[1])
 run_dir = run_transfer(config, out_dir, no_rl=True).run_dir
 loaded = set(sys.modules)
-assert {"scipy.optimize._lbfgsb", "scipy.spatial._qhull"} <= loaded, "a kernel is missing"
-assert not {"scipy.optimize", "scipy.spatial"} & loaded, "a run loaded a scipy package"
-lbfgsb, qhull = sys.modules["scipy.optimize._lbfgsb"], sys.modules["scipy.spatial._qhull"]
+kernels = {"scipy.optimize._lbfgsb", "scipy.linalg._flapack", "scipy.linalg.cython_lapack", "scipy.spatial._qhull"}
+assert kernels <= loaded, f"a kernel is missing: {sorted(kernels - loaded)}"
+assert not {"scipy.optimize", "scipy.linalg", "scipy.spatial"} & loaded, "a run loaded a scipy package"
+first = {name: sys.modules[name] for name in kernels}
+qhull = first["scipy.spatial._qhull"]
 
+import scipy.linalg
 import scipy.optimize
 import scipy.spatial
 from scipy.optimize import _lbfgsb
 
-assert _lbfgsb is lbfgsb
+assert all(sys.modules[name] is module for name, module in first.items()), "a package reloaded a kernel"
+assert _lbfgsb is first["scipy.optimize._lbfgsb"]
+x = scipy.linalg.solve_banded((1, 1), np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]), np.ones(3))
+assert np.allclose(x, [3.0 / 14.0, 1.0 / 7.0, 3.0 / 14.0]), x
 assert scipy.spatial.ConvexHull is qhull.ConvexHull and scipy.spatial.QhullError is qhull.QhullError
 res = scipy.optimize.minimize(lambda x: float((x - 1.0).dot(x - 1.0)), np.zeros(3), method="L-BFGS-B")
 assert res.success and np.allclose(res.x, 1.0), res

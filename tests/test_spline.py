@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from demo2dex.spline import JerkMinSpline, SplineError
+from demo2dex.spline import JerkMinSpline, SplineError, _interior_solve
 
 RNG = np.random.default_rng(7)
 
@@ -71,8 +71,6 @@ def test_jerk_energy_minimal_over_boundary_curvature():
     """Any other C2 cubic interpolant of the same knots has at least the
     fitted jerk energy; that family is exactly the fitted m2 plus boundary
     curvature perturbations propagated through the continuity system."""
-    from demo2dex.spline import _interior_solve
-
     t, y, sp = random_spline(7, dim=1, seed=6)
     h = np.diff(t)
     m_a = _interior_solve(h, np.zeros((len(t) - 2, 1)), np.array([1.0]), np.array([0.0]))[:, 0]
@@ -106,3 +104,81 @@ def test_rejects_bad_knots():
         JerkMinSpline.fit([0.0, 1.0], [[1.0], [2.0], [3.0]])
     with pytest.raises(SplineError):  # values are one row per knot
         JerkMinSpline.fit([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    # non-finite knots, at two knots too, where no solve would catch them
+    for times, values in [
+        ([0.0, np.nan], [[0.0], [1.0]]),
+        ([0.0, 1.0], [[0.0], [np.inf]]),
+        ([0.0, 1.0, np.inf], [[0.0], [1.0], [2.0]]),
+        ([0.0, 1.0, 2.0], [[0.0], [np.nan], [2.0]]),
+    ]:
+        with pytest.raises(SplineError, match="must be finite"):
+            JerkMinSpline.fit(times, values)
+
+
+def random_system(rng, n_knots, cols):
+    # knot spacing and data each spread over six decades
+    h = rng.uniform(0.001, 1.0, n_knots - 1) * 10.0 ** rng.uniform(-3, 3)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    rhs = rng.normal(size=(n_knots - 2, cols)) * scale
+    return h, rhs, rng.normal(size=cols) * scale, rng.normal(size=cols) * scale
+
+
+def test_interior_solve_is_solve_banded_bit_for_bit():
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(11)
+    for n_knots in (3, 3, 4, 5, 9, 40, 200):  # three knots: the 1x1 division
+        for cols in (1, 6, 24):
+            h, rhs, m0, mlast = random_system(rng, n_knots, cols)
+            b = rhs.copy()
+            b[0] -= h[0] / 6.0 * m0
+            b[-1] -= h[-1] / 6.0 * mlast
+            ab = np.zeros((3, n_knots - 2))
+            ab[0, 1:] = ab[2, :-1] = h[1:-1] / 6.0
+            ab[1] = (h[:-1] + h[1:]) / 3.0
+            want = solve_banded((1, 1), ab, b)
+            got = _interior_solve(h, rhs, m0, mlast)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n_knots, cols)
+
+
+def test_one_stacked_solve_is_three_solves():
+    # fit solves the natural curvatures and both unit boundary systems at once
+    rng = np.random.default_rng(12)
+    for n_knots in (3, 4, 17, 120):
+        h, rhs, _, _ = random_system(rng, n_knots, 5)
+        zeros, z1 = np.zeros(5), np.zeros((n_knots - 2, 1))
+        m0, mlast = np.zeros(7), np.zeros(7)
+        m0[5] = mlast[6] = 1.0
+        stacked = _interior_solve(h, np.hstack([rhs, np.zeros((n_knots - 2, 2))]), m0, mlast)
+        apart = np.hstack([
+            _interior_solve(h, rhs, zeros, zeros),
+            _interior_solve(h, z1, np.array([1.0]), np.array([0.0])),
+            _interior_solve(h, z1, np.array([0.0]), np.array([1.0])),
+        ])
+        assert np.ascontiguousarray(stacked).tobytes() == apart.tobytes(), n_knots
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n_knots", [3, 6])
+def test_interior_solve_rejects_non_finite_input(bad, n_knots):
+    h, rhs, m0, mlast = random_system(np.random.default_rng(13), n_knots, 2)
+    rhs[-1, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _interior_solve(h, rhs, m0, mlast)
+    h[n_knots // 2 - 1] = bad  # a diagonal and, past three knots, an off-diagonal entry
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _interior_solve(h, np.zeros((n_knots - 2, 1)), np.ones(1), np.ones(1))
+
+
+def test_interior_solve_names_a_singular_system():
+    # fit cannot produce one: for increasing knots every row is strictly
+    # diagonally dominant, (h0 + h1)/3 > h0/6 + h1/6. Spacings of mixed sign
+    # can: h = (-3, 6, -3) gives the 2x2 system [[1, 1], [1, 1]].
+    from scipy.linalg import solve_banded
+
+    h = np.array([-3.0, 6.0, -3.0])
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _interior_solve(h, np.ones((2, 1)), np.zeros(1), np.zeros(1))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]), np.ones((2, 1)))
